@@ -11,7 +11,9 @@ Output is a JSON envelope (schema ``twoside/1``) echoing the inputs,
 or CSV for tabular payloads via ``--format csv`` (figure data is always
 CSV). Numbers are serialized to 10 significant digits; byte output is
 deterministic for identical inputs. Exit codes: 0 success, 2 usage error,
-3 domain error (invalid parameter values, degenerate inputs).
+3 domain error (invalid parameter values, degenerate inputs), 4 numerical
+failure (an ``ArithmeticError``, e.g. a special function that did not
+converge).
 """
 
 from __future__ import annotations
@@ -496,6 +498,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4
     _emit(text, args.out)
     return 0
 

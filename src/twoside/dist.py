@@ -11,22 +11,30 @@ Discrete conventions differ across libraries, so they are pinned here:
 - ``sf(x)`` is the inclusive upper tail P(X >= ceil(x)). In particular
   ``sf(k)`` at a support point k includes the mass at k, matching the
   one-sided p-value convention of exact tests.
-- ``quantile(p)`` is the smallest support point whose cdf reaches p.
+- ``quantile(p)`` is the smallest support point whose cdf reaches p, or
+  the upper support bound when rounding keeps every cdf value below p.
 - ``median()`` is ``quantile(0.5)``.
 - ``mode_set()`` scans the mass function and returns every argmax (two
   neighbouring points tie at certain parameter boundaries).
 
-All instances are immutable; discrete families cache their mass/tail tables
-on first use.
+All instances are immutable. A discrete family builds its mass and tail
+tables from the mass ratio pmf(k + 1) / pmf(k): starting from weight 1 at
+the mode, it multiplies outward until the weights underflow to 0 or stop
+shrinking, so the tables cover a window around the mode rather than the
+whole support (for large supports, about 38.6 standard deviations on each
+side, where exp(-z**2 / 2) underflows). Support points outside the
+window have mass 0. The tables of the 32 most recently used distributions
+are cached.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import specfun
@@ -352,42 +360,71 @@ class TruncatedNormal(Distribution):
 
 
 class _Tables(NamedTuple):
-    pmf: list[float]
-    cdf: list[float]  # cdf[i] = P(X <= lo + i)
-    sf: list[float]   # sf[i] = P(X >= lo + i), inclusive
+    """Mass and tails over the window [first, first + len(pmf) - 1].
+
+    Every support point outside the window has mass 0: to its left cdf is
+    0 and sf is sf[0], to its right cdf is cdf[-1] and sf is 0.
+    """
+
+    first: int
+    mode: int         # index of the largest mass
+    pmf: list[float]  # rises to pmf[mode], then falls
+    cdf: list[float]  # cdf[i] = P(X <= first + i)
+    sf: list[float]   # sf[i] = P(X >= first + i), inclusive
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _discrete_tables(d: "_Discrete") -> _Tables:
     lo, hi = d._bounds()
-    logw = [d._log_weight(k) for k in range(lo, hi + 1)]
-    top = max(logw)
-    raw = [math.exp(v - top) for v in logw]
+    ratio = d._ratio
+    # the ratio falls strictly (the families are log-concave), so the
+    # mode is the first point whose ratio is at most 1
+    mode = lo + bisect_left(range(lo, hi), True, key=lambda k: ratio(k) <= 1.0)
+    # weights relative to 1 at the mode; clamping the ratios keeps the
+    # array unimodal under rounding. A walk stops where the weight
+    # underflows to 0 or stops shrinking (subnormals round back to
+    # themselves); only the first step may tie with the mode.
+    right: list[float] = []
+    w = 1.0
+    for k in range(mode, hi):
+        nxt = w * min(1.0, ratio(k))
+        if nxt == 0.0 or (nxt == w and right):
+            break
+        right.append(nxt)
+        w = nxt
+    left: list[float] = []
+    w = 1.0
+    for k in range(mode - 1, lo - 1, -1):
+        nxt = w / max(1.0, ratio(k))
+        if nxt == 0.0 or (nxt == w and left):
+            break
+        left.append(nxt)
+        w = nxt
+    left.reverse()
+    raw = left + [1.0] + right
     total = math.fsum(raw)
     pmf = [v / total for v in raw]
-    cdf: list[float] = []
-    acc = 0.0
-    for v in pmf:
-        acc += v
-        cdf.append(acc)
-    sf: list[float] = [0.0] * len(pmf)
-    acc = 0.0
-    for i in range(len(pmf) - 1, -1, -1):
-        acc += pmf[i]
-        sf[i] = acc
-    return _Tables(pmf, cdf, sf)
+    # running sums may pass 1 by rounding at their far end
+    cdf = [min(v, 1.0) for v in accumulate(pmf)]
+    sf = [min(v, 1.0) for v in accumulate(reversed(pmf))]
+    sf.reverse()
+    return _Tables(mode - len(left), len(left), pmf, cdf, sf)
 
 
 class _Discrete(Distribution):
-    """Base for integer-supported families; tables are cached per instance."""
+    """Base for integer-supported families.
+
+    A family gives its support bounds and the mass ratio
+    ``_ratio(k) = pmf(k + 1) / pmf(k)``; the tables are built from the
+    ratio over a window around the mode and cached.
+    """
 
     is_discrete = True
 
     def _bounds(self) -> tuple[int, int]:
         raise NotImplementedError
 
-    def _log_weight(self, k: int) -> float:
-        """Log mass up to a constant; normalized when the tables are built."""
+    def _ratio(self, k: int) -> float:
         raise NotImplementedError
 
     def _tables(self) -> _Tables:
@@ -400,11 +437,9 @@ class _Discrete(Distribution):
     def pdf_or_pmf(self, x: float) -> float:
         if not float(x).is_integer():
             raise ValueError(f"{type(self).__name__} is discrete; mass requested at non-integer {x!r}")
-        k = int(x)
-        lo, hi = self._bounds()
-        if k < lo or k > hi:
-            return 0.0
-        return self._tables().pmf[k - lo]
+        t = self._tables()
+        i = int(x) - t.first
+        return t.pmf[i] if 0 <= i < len(t.pmf) else 0.0
 
     def cdf(self, x: float) -> float:
         lo, hi = self._bounds()
@@ -412,7 +447,9 @@ class _Discrete(Distribution):
             return 0.0
         if x >= hi:
             return 1.0
-        return self._tables().cdf[math.floor(x) - lo]
+        t = self._tables()
+        i = math.floor(x) - t.first
+        return t.cdf[min(i, len(t.cdf) - 1)] if i >= 0 else 0.0
 
     def sf(self, x: float) -> float:
         lo, hi = self._bounds()
@@ -420,22 +457,39 @@ class _Discrete(Distribution):
             return 1.0
         if x > hi:
             return 0.0
-        return self._tables().sf[math.ceil(x) - lo]
+        t = self._tables()
+        i = math.ceil(x) - t.first
+        return t.sf[max(i, 0)] if i < len(t.sf) else 0.0
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
-        lo, _ = self._bounds()
-        cdf = self._tables().cdf
-        idx = bisect_left(cdf, p)
-        if idx >= len(cdf):
-            idx = len(cdf) - 1
-        return float(lo + idx)
+        t = self._tables()
+        idx = bisect_left(t.cdf, p)
+        if idx == len(t.cdf):
+            return float(self._bounds()[1])
+        return float(t.first + idx)
+
+    def mass_at_most(self, cut: float) -> float:
+        """Total mass of the support points whose mass is at most ``cut``.
+
+        The masses rise to the mode and fall after it, so those points are
+        a prefix [0, a) and a suffix [b, end) of the window, found by
+        bisection.
+        """
+        t = self._tables()
+        a = bisect_right(t.pmf, cut, 0, t.mode + 1)
+        b = bisect_left(t.pmf, -cut, max(a, t.mode), key=operator.neg)
+        return (t.cdf[a - 1] if a else 0.0) + (t.sf[b] if b < len(t.sf) else 0.0)
 
     def mode_set(self) -> list[float]:
-        lo, _ = self._bounds()
-        pmf = self._tables().pmf
-        top = max(pmf)
-        return [float(lo + i) for i, v in enumerate(pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
+        t = self._tables()
+        top = t.pmf[t.mode]
+        return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
+
+
+def _hyper_ratio(row1: int, col1: int, total: int, k: int) -> float:
+    """pmf(k + 1) / pmf(k) of the central hypergeometric, rounded once."""
+    return (row1 - k) * (col1 - k) / ((k + 1) * (total - row1 - col1 + k + 1))
 
 
 @dataclass(frozen=True)
@@ -454,8 +508,8 @@ class Binomial(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return 0, self.n
 
-    def _log_weight(self, k: int) -> float:
-        return specfun.log_choose(self.n, k) + k * math.log(self.p) + (self.n - k) * math.log1p(-self.p)
+    def _ratio(self, k: int) -> float:
+        return (self.n - k) * self.p / ((k + 1) * (1.0 - self.p))
 
     def mean(self) -> float:
         return self.n * self.p
@@ -481,10 +535,8 @@ class Hypergeometric(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
 
-    def _log_weight(self, k: int) -> float:
-        return (specfun.log_choose(self.row1, k)
-                + specfun.log_choose(self.total - self.row1, self.col1 - k)
-                - specfun.log_choose(self.total, self.col1))
+    def _ratio(self, k: int) -> float:
+        return _hyper_ratio(self.row1, self.col1, self.total, k)
 
     def mean(self) -> float:
         return self.row1 * self.col1 / self.total
@@ -510,14 +562,10 @@ class NoncentralHypergeometric(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
 
-    def _log_weight(self, k: int) -> float:
-        # unnormalized: C(row1, k) C(total-row1, col1-k) odds^k, summed out
-        # in log space when the tables are normalized
-        return (specfun.log_choose(self.row1, k)
-                + specfun.log_choose(self.total - self.row1, self.col1 - k)
-                + k * math.log(self.odds))
+    def _ratio(self, k: int) -> float:
+        # the mass is C(row1, k) C(total-row1, col1-k) odds^k, normalized
+        return _hyper_ratio(self.row1, self.col1, self.total, k) * self.odds
 
     def mean(self) -> float:
-        lo, _ = self._bounds()
-        pmf = self._tables().pmf
-        return math.fsum((lo + i) * v for i, v in enumerate(pmf))
+        t = self._tables()
+        return math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))

@@ -227,9 +227,7 @@ def p_min_likelihood(d: Distribution, x: float, *, tie_tol: float = DEFAULT_TIE_
         px = d.pdf_or_pmf(x)
         if px <= 0.0:
             return 0.0
-        cut = px * (1.0 + tie_tol)
-        pmf = d._tables().pmf
-        return min(1.0, math.fsum(v for v in pmf if v <= cut))
+        return min(1.0, d.mass_at_most(px * (1.0 + tie_tol)))
 
     if isinstance(d, Uniform):
         return 1.0

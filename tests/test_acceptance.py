@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -66,33 +68,56 @@ def hyper_pmf_exact(row1: int, col1: int, total: int) -> dict[int, Fraction]:
             for k in range(lo, hi + 1)}
 
 
-_TIE = Fraction(1) + Fraction(1, 10**9)
+_ONE = Fraction(1)
+_TIE = _ONE + Fraction(1, 10**9)
+
+
+class ExactDiscrete:
+    """Exact tails of a finite pmf for brute-force comparisons.
+
+    Prefix sums by support point and over the sorted masses are built once,
+    so each tail or min-likelihood sum is one bisection. Tail masses are
+    exact rationals; the anchor comparison uses the float anchor because
+    the anchor convention itself is float-valued.
+    """
+
+    def __init__(self, pmf: dict[int, Fraction]):
+        self.pmf = pmf
+        self.points = sorted(pmf)
+        self.cum = [Fraction(0), *accumulate(pmf[k] for k in self.points)]
+        self.tail = [Fraction(0), *accumulate(pmf[k] for k in reversed(self.points))][::-1]
+        self.masses = sorted(pmf.values())
+        self.mass_cum = [Fraction(0), *accumulate(self.masses)]
+
+    def below(self, t: float) -> Fraction:
+        """P(X <= t)."""
+        return self.cum[bisect_right(self.points, t)]
+
+    def above(self, t: float) -> Fraction:
+        """P(X >= t)."""
+        return self.tail[bisect_left(self.points, t)]
+
+    def p_values(self, x: int, anchor: float) -> dict[str, Fraction]:
+        """The four discrete p-values at x, by method name."""
+        cdf_x = self.below(x)
+        sf_x = self.above(x)
+        out = {pvalue.DOUBLED: min(_ONE, 2 * min(cdf_x, sf_x)),
+               pvalue.MIN_LIKELIHOOD: self.mass_cum[bisect_right(self.masses, self.pmf[x] * _TIE)]}
+        if x == anchor:
+            out[pvalue.CONDITIONAL] = out[pvalue.CONDITIONAL_MODIFIED] = _ONE
+            return out
+        base = cdf_x / self.below(anchor) if x < anchor else sf_x / self.above(anchor)
+        attainable = anchor == math.floor(anchor) and int(anchor) in self.pmf
+        scale = 1 + self.pmf[int(anchor)] if attainable else _ONE
+        out[pvalue.CONDITIONAL] = min(_ONE, base)
+        out[pvalue.CONDITIONAL_MODIFIED] = min(_ONE, scale * base)
+        return out
 
 
 def oracle_discrete(pmf: dict[int, Fraction], x: int, method: str,
                     anchor: float) -> Fraction:
-    """Full-support enumeration of a discrete two-sided p-value.
-
-    Tail masses are exact rationals; the anchor comparison uses the float
-    anchor because the anchor convention itself is float-valued.
-    """
-    cdf_x = sum(q for k, q in pmf.items() if k <= x)
-    sf_x = sum(q for k, q in pmf.items() if k >= x)
-    if method == pvalue.DOUBLED:
-        return min(Fraction(1), 2 * min(cdf_x, sf_x))
-    if method == pvalue.MIN_LIKELIHOOD:
-        cut = pmf[x] * _TIE
-        return sum(q for q in pmf.values() if q <= cut)
-    w_left = sum(q for k, q in pmf.items() if k <= anchor)
-    w_right = sum(q for k, q in pmf.items() if k >= anchor)
-    attainable = anchor == math.floor(anchor) and int(anchor) in pmf
-    if x == anchor:
-        return Fraction(1)
-    base = cdf_x / w_left if x < anchor else sf_x / w_right
-    if method == pvalue.CONDITIONAL:
-        return min(Fraction(1), base)
-    scale = 1 + pmf[int(anchor)] if attainable else Fraction(1)
-    return min(Fraction(1), scale * base)
+    """Exact discrete two-sided p-value over the full support."""
+    return ExactDiscrete(pmf).p_values(x, anchor)[method]
 
 
 def corrected_trapezoid(g, gp_a: float, gp_b: float, a: float, b: float,
@@ -406,10 +431,12 @@ def test_criterion_10():
     def sweep(d, pmf):
         nonlocal worst, checked
         anchor = pvalue.resolve_anchor(d, pvalue.MEAN)
+        oracle = ExactDiscrete(pmf)
         for x in d.support().points():
+            exact = oracle.p_values(x, anchor)
             for method in methods:
                 got = pvalue.p_value(d, x, method, anchor_value=anchor)
-                want = float(oracle_discrete(pmf, x, method, anchor))
+                want = float(exact[method])
                 err = abs(got - want)
                 worst = max(worst, err)
                 checked += 1

@@ -411,6 +411,18 @@ def test_domain_errors_exit_three(capsys, argv):
     assert out == ""
 
 
+def test_numerical_failure_exits_four(capsys, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise ArithmeticError("series did not converge")
+
+    monkeypatch.setattr(stattests, "variance_test", diverge)
+    code, out, err = run(capsys, "test", "variance", "--s2", "1.05", "--n", "2001",
+                         "--sigma0sq", "1")
+    assert code == 4
+    assert err == "error: numerical failure: series did not converge\n"
+    assert out == ""
+
+
 def test_data_file_errors(capsys, tmp_path):
     code, _, err = run(capsys, "test", "variance", "--data",
                        str(tmp_path / "absent.txt"), "--sigma0sq", "1")

@@ -358,6 +358,87 @@ def test_hypergeometric_support_lower_bound():
 
 
 # ---------------------------------------------------------------------------
+# windowed tables: the tables cover a window around the mode, cut where the
+# weights underflow; outside it the mass is 0 and the tails are constant
+
+
+def test_outside_window_semantics():
+    n = 20000
+    d = Binomial(n, 0.5)
+    window = d._tables()
+    assert window.first > 100 and window.first + len(window.pmf) - 1 < n - 100
+    for k in [*range(0, 101), *range(n - 100, n + 1)]:
+        assert d.pdf_or_pmf(k) == 0.0
+    assert d.sf(0) == 1.0
+    for k in range(0, 101):
+        assert d.cdf(k) == 0.0
+    for k in range(1, 101):
+        # as in a full-support table: the running sum at the window's start
+        assert d.sf(k) == window.sf[0] == pytest.approx(1.0, abs=1e-15)
+    for k in range(n - 100, n):
+        assert d.cdf(k) == window.cdf[-1] == pytest.approx(1.0, abs=1e-15)
+        assert d.sf(k + 1) == 0.0
+    assert d.cdf(n) == 1.0
+    # smallest point whose cdf reaches p, or n when no running sum does
+    p = 1 - 2**-53
+    q = d.quantile(p)
+    assert d.cdf(q - 1) < p
+    assert d.cdf(q) >= p or q == n
+
+
+def _exact_masses(d) -> list[Fraction]:
+    lo, hi = int(d.support().lo), int(d.support().hi)
+    if isinstance(d, Binomial):
+        return [binom_pmf_exact(d.n, d.p, k) for k in range(lo, hi + 1)]
+    odds = Fraction(getattr(d, "odds", 1.0))
+    raw = [math.comb(d.row1, k) * math.comb(d.total - d.row1, d.col1 - k) * odds**k
+           for k in range(lo, hi + 1)]
+    norm = sum(raw)
+    return [v / norm for v in raw]
+
+
+@pytest.mark.parametrize(
+    "d, modes",
+    [
+        (Hypergeometric(5, 5, 5), [5.0]),
+        (Binomial(1, 0.3), [0.0]),
+        (Binomial(40, 1e-9), [0.0]),
+        (Binomial(40, 1 - 1e-9), [40.0]),
+        (NoncentralHypergeometric(30, 40, 100, 1e-6), [0.0]),
+        (NoncentralHypergeometric(30, 40, 100, 1e6), [30.0]),
+    ],
+    ids=str,
+)
+def test_edge_supports(d, modes):
+    lo, hi = int(d.support().lo), int(d.support().hi)
+    exact = _exact_masses(d)
+    running = Fraction(0)
+    for k, mass in zip(range(lo, hi + 1), exact):
+        running += mass
+        got = d.pdf_or_pmf(k)
+        if mass < 1e-300:
+            assert got == pytest.approx(float(mass), abs=1e-300)
+        else:
+            assert got == pytest.approx(float(mass), rel=1e-13)
+        assert d.cdf(k) == pytest.approx(float(running), rel=1e-13, abs=1e-300)
+    assert d.mode_set() == modes
+    assert d.cdf(hi) == 1.0 and d.sf(lo) == 1.0
+    assert d.median() == modes[0]
+
+
+def test_window_is_bounded_for_large_supports():
+    # the full support has 2 * 10**7 + 1 points; weights stop where they
+    # underflow or stop shrinking among the subnormals
+    assert len(Binomial(20_000_000, 0.5)._tables().pmf) < 200_000
+
+
+def test_binomial_tail_against_high_precision_reference():
+    # 40-digit mpmath value for the exact binary parameter 0.5597
+    ref = 8.1545579575038013042e-05
+    assert Binomial(10975, 0.5597).sf(6339) == pytest.approx(ref, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # property sweeps
 
 

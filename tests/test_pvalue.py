@@ -13,12 +13,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twoside.dist import (
     Binomial,
     ChiSquare,
     FRatio,
     Hypergeometric,
+    NoncentralHypergeometric,
     Triangular,
     TruncatedNormal,
     Uniform,
@@ -37,6 +39,7 @@ from twoside.pvalue import (
     resolve_anchor,
     tail_weights,
 )
+from twoside.stattests import ContingencyTable, fisher_exact
 
 CHISQ5 = ChiSquare(5)
 
@@ -211,6 +214,56 @@ def test_min_likelihood_golden():
     for x in (0.1, 0.25, 0.5, 0.9):
         assert p_min_likelihood(Uniform(0.0, 1.0), x) == 1.0
     assert p_min_likelihood(Binomial(10, 0.2), 11) == 0.0  # outside support
+
+
+_discrete_families = st.one_of(
+    st.builds(Binomial, st.integers(1, 400),
+              st.one_of(st.just(0.5), st.floats(1e-3, 1 - 1e-3))),
+    # row1 = col1 and total = 2 * row1 gives a symmetric law with exact ties
+    st.integers(1, 200).map(lambda r: Hypergeometric(r, r, 2 * r)),
+    st.integers(2, 400).flatmap(lambda t: st.builds(
+        Hypergeometric, st.integers(0, t), st.integers(0, t), st.just(t))),
+    st.integers(2, 400).flatmap(lambda t: st.builds(
+        NoncentralHypergeometric, st.integers(0, t), st.integers(0, t), st.just(t),
+        st.floats(1e-3, 1e3))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_discrete_families, data=st.data())
+def test_bisected_min_likelihood_equals_window_scan(d, data):
+    x = data.draw(st.integers(int(d.support().lo), int(d.support().hi)))
+    px = d.pdf_or_pmf(x)
+    cut = px * (1.0 + 1e-9)
+    window = d._tables().pmf
+    scan = min(1.0, math.fsum(v for v in window if v <= cut)) if px > 0.0 else 0.0
+    assert p_min_likelihood(d, x) == pytest.approx(scan, abs=1e-15)
+
+
+def test_min_likelihood_exact_ties():
+    for d in (Binomial(30, 0.5), Binomial(31, 0.5), Hypergeometric(20, 20, 40)):
+        lo, hi = int(d.support().lo), int(d.support().hi)
+        for x in range(lo, hi + 1):
+            assert p_min_likelihood(d, x) == p_min_likelihood(d, lo + hi - x)
+
+
+# 40-digit mpmath values over the exact rational masses. Masses taken
+# from lgamma in log space miss these by 1e-12 to 2.3e-11 relative; the
+# ratio recurrence keeps them within 1e-15
+@pytest.mark.parametrize(
+    "compute, ref",
+    [
+        (lambda: fisher_exact(ContingencyTable(1952, 4757, 2837, 6522)).p_two_sided["doubled"],
+         0.099438735075062631085),
+        (lambda: p_doubled(Hypergeometric(27111, 23992, 120379), 5203),
+         0.00053610604304468534481),
+        (lambda: p_min_likelihood(Hypergeometric(109849, 40749, 310847), 14092),
+         0.00061649146424783113429),
+    ],
+    ids=["fisher-table", "hyper-doubled", "hyper-min-likelihood"],
+)
+def test_large_support_high_precision_references(compute, ref):
+    assert compute() == pytest.approx(ref, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
