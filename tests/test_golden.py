@@ -1,0 +1,49 @@
+"""Golden command-line corpus: exit status and stdout digest per argv.
+
+``golden_cli.json`` holds three frozen groups of argv lists with the exit
+status and the SHA-256 of the stdout each produced when recorded:
+
+- ``paper_artifacts``: every paper table, figure and README command, plus
+  the umpu/bias sweeps over chi-square(1..30) and four F laws;
+- ``exact_tests_seed1``: 100 binomial/Fisher tests and discrete p-values
+  with supports from 10 to 50,000 points;
+- ``continuous_tests_seed1``: 100 variance/F tests and chi-square, F and
+  truncated-normal p-values, including large-df requests that exit 4.
+
+Any change to a printed digit, to the JSON layout or to an exit status
+shows up here. A deliberate change of output is re-recorded in the data
+file, one argv at a time.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from twoside.cli import main
+
+CORPUS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(encoding="utf-8"))
+
+# the README sample read by ``test variance --data sample.txt``
+SAMPLE_TXT = "1.21\n0.37\n2.05\n0.88\n1.64\n0.52\n"
+
+
+@pytest.mark.parametrize("group", sorted(CORPUS))
+def test_golden_outputs(group, tmp_path, monkeypatch):
+    (tmp_path / "sample.txt").write_text(SAMPLE_TXT, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    mismatches = []
+    for record in CORPUS[group]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            status = main(list(record["argv"]))
+        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        if (status, digest) != (record["status"], record["sha256"]):
+            mismatches.append((" ".join(record["argv"]), record["status"], status))
+    assert mismatches == []
+
