@@ -9,131 +9,12 @@ binomial, and Fisher exact tests, and provides the power, bias, and
 unbiased-weight analysis that discriminates between the constructions.
 """
 
-from .analysis import (
-    BIAS_METHODS,
-    UMPU,
-    BiasReport,
-    CriticalRegion,
-    PowerCurve,
-    bias,
-    binomial_weight_table,
-    critical_region_from_weights,
-    figure_data,
-    fisher_pvalue_table,
-    lower_partial_mean,
-    minlik_region,
-    power_curve,
-    power_derivative_at_null,
-    umpu_weights,
-    variance_power,
-)
-from .dist import (
-    Binomial,
-    ChiSquare,
-    Distribution,
-    FRatio,
-    Hypergeometric,
-    NoncentralHypergeometric,
-    Support,
-    Triangular,
-    TruncatedNormal,
-    Uniform,
-)
-from .pvalue import (
-    CONDITIONAL,
-    CONDITIONAL_MODIFIED,
-    DOUBLED,
-    METHODS,
-    MIN_LIKELIHOOD,
-    WEIGHTED,
-    TailAnchor,
-    Weights,
-    conjugate_point,
-    p_conditional_continuous,
-    p_conditional_discrete,
-    p_doubled,
-    p_min_likelihood,
-    p_value,
-    p_weighted,
-    pc_equivalent_point,
-    resolve_anchor,
-    tail_weights,
-)
-from .stattests import (
-    ContingencyTable,
-    DavisStatistics,
-    TestReport,
-    binomial_test,
-    davis_ordering,
-    davis_statistics,
-    f_test,
-    fisher_exact,
-    glr_statistic,
-    variance_test,
-    variance_test_from_sample,
-)
+from . import analysis, dist, pvalue, stattests
+from .analysis import *  # noqa: F401,F403
+from .dist import *  # noqa: F401,F403
+from .pvalue import *  # noqa: F401,F403
+from .stattests import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # dist
-    "Distribution",
-    "Support",
-    "ChiSquare",
-    "FRatio",
-    "Uniform",
-    "Triangular",
-    "TruncatedNormal",
-    "Binomial",
-    "Hypergeometric",
-    "NoncentralHypergeometric",
-    # pvalue
-    "DOUBLED",
-    "WEIGHTED",
-    "CONDITIONAL",
-    "CONDITIONAL_MODIFIED",
-    "MIN_LIKELIHOOD",
-    "METHODS",
-    "TailAnchor",
-    "Weights",
-    "resolve_anchor",
-    "tail_weights",
-    "p_value",
-    "p_weighted",
-    "p_doubled",
-    "p_conditional_continuous",
-    "p_conditional_discrete",
-    "p_min_likelihood",
-    "conjugate_point",
-    "pc_equivalent_point",
-    # stattests
-    "ContingencyTable",
-    "DavisStatistics",
-    "TestReport",
-    "variance_test",
-    "variance_test_from_sample",
-    "f_test",
-    "binomial_test",
-    "fisher_exact",
-    "davis_statistics",
-    "davis_ordering",
-    "glr_statistic",
-    # analysis
-    "UMPU",
-    "BIAS_METHODS",
-    "CriticalRegion",
-    "PowerCurve",
-    "BiasReport",
-    "critical_region_from_weights",
-    "variance_power",
-    "power_curve",
-    "lower_partial_mean",
-    "power_derivative_at_null",
-    "umpu_weights",
-    "minlik_region",
-    "bias",
-    "binomial_weight_table",
-    "fisher_pvalue_table",
-    "figure_data",
-]
+__all__ = ["__version__", *dist.__all__, *pvalue.__all__, *stattests.__all__, *analysis.__all__]

@@ -3,11 +3,12 @@
 A two-sided critical region at level alpha is fixed by the left-tail weight
 w_L: reject below quantile(w_L * alpha) or above quantile(1 - (1-w_L) * alpha).
 The doubled p-value corresponds to w_L = 1/2, the conditional p-value to
-w_L = F(A). This module computes power curves for such regions, the bias
-(minimum power minus level) over scale alternatives, the weight that makes
-the test unbiased (zero power derivative at the null), the acceptance
-region of the minimum-likelihood p-value, and the tabular/figure series
-summarizing all of it for the binomial and hypergeometric test families.
+w_L = F(A). This module computes the power of such regions against scale
+alternatives (:func:`variance_power`, the one power function), the bias
+(minimum power minus level), the weight that makes the test unbiased (zero
+power derivative at the null), the acceptance region of the
+minimum-likelihood p-value, and the tabular/figure series summarizing all
+of it for the binomial and hypergeometric test families.
 
 Tail-moment integrals use closed forms: for chi-square,
 integral_0^t x dF_k(x) = k F_{k+2}(t); the variance-ratio family has the
@@ -28,8 +29,7 @@ from .pvalue import (
     MIN_LIKELIHOOD,
     TailAnchor,
     conjugate_point,
-    p_conditional_continuous,
-    p_conditional_discrete,
+    p_conditional,
     p_doubled,
     p_min_likelihood,
     resolve_anchor,
@@ -42,11 +42,9 @@ __all__ = [
     "UMPU",
     "BIAS_METHODS",
     "CriticalRegion",
-    "PowerCurve",
     "BiasReport",
     "critical_region_from_weights",
     "variance_power",
-    "power_curve",
     "lower_partial_mean",
     "power_derivative_at_null",
     "umpu_weights",
@@ -94,16 +92,6 @@ class CriticalRegion:
 
 
 @dataclass(frozen=True)
-class PowerCurve:
-    """Power of one region over a grid of scale alternatives rho."""
-
-    rho_grid: tuple[float, ...]
-    power: tuple[float, ...]
-    method: str
-    level: float
-
-
-@dataclass(frozen=True)
 class BiasReport:
     """Minimum power over scale alternatives, relative to the level."""
 
@@ -131,28 +119,16 @@ def critical_region_from_weights(d: Distribution, alpha: float, w_left: float) -
     )
 
 
-def variance_power(d: Distribution, region: CriticalRegion, rho: float) -> float:
-    """Power of the region against the scale alternative rho.
+def variance_power(d: Distribution, c_left: float, c_right: float, rho: float) -> float:
+    """Power of the region {x < c_left or x > c_right} against the scale alternative rho.
 
     For a statistic X with X ~ chi2/rho (rho = null variance over true
-    variance), the rejection probability is F(rho*c_left) + 1 - F(rho*c_right);
+    variance), the rejection probability is F(rho*c_left) + S(rho*c_right);
     the same form covers the variance-ratio test.
     """
     if not (rho > 0.0) or not math.isfinite(rho):
         raise ValueError(f"rho must be positive, got {rho!r}")
-    return d.cdf(rho * region.c_left) + d.sf(rho * region.c_right)
-
-
-def power_curve(d: Distribution, region: CriticalRegion, rho_grid: Sequence[float], *,
-                method: str, level: float) -> PowerCurve:
-    """Evaluate variance_power over a grid of alternatives."""
-    rhos = tuple(float(r) for r in rho_grid)
-    return PowerCurve(
-        rho_grid=rhos,
-        power=tuple(variance_power(d, region, r) for r in rhos),
-        method=method,
-        level=level,
-    )
+    return d.cdf(rho * c_left) + d.sf(rho * c_right)
 
 
 def lower_partial_mean(d: Distribution, t: float) -> float:
@@ -286,8 +262,8 @@ def _golden_section_min(f: Callable[[float], float], a: float, b: float, tol: fl
 
 
 def _region_for_method(d: Distribution, method: str, alpha: float,
-                       anchor: TailAnchor) -> tuple[float, float, float]:
-    """(c_left, c_right, w_left) of the level-alpha region for a method."""
+                       anchor: TailAnchor) -> tuple[float, float]:
+    """(c_left, c_right) of the level-alpha region for a method."""
     if method == DOUBLED:
         region = critical_region_from_weights(d, alpha, 0.5)
     elif method == CONDITIONAL:
@@ -303,11 +279,10 @@ def _region_for_method(d: Distribution, method: str, alpha: float,
     elif method == UMPU:
         _, region = umpu_weights(d, alpha)
     elif method == MIN_LIKELIHOOD:
-        left, right = minlik_region(d, alpha)
-        return left, right, (d.cdf(left) / alpha if alpha > 0 else math.nan)
+        return minlik_region(d, alpha)
     else:
         raise ValueError(f"unknown bias method {method!r}; expected one of {BIAS_METHODS}")
-    return region.c_left, region.c_right, region.w_left
+    return region.c_left, region.c_right
 
 
 def bias(d: Distribution, method: str, alpha: float, *,
@@ -318,10 +293,10 @@ def bias(d: Distribution, method: str, alpha: float, *,
     rho in [e^-4, e^4] and refined by golden-section search; the grid
     guards against the two-sided power's double dip around the null.
     """
-    c_left, c_right, _ = _region_for_method(d, method, alpha, anchor)
+    c_left, c_right = _region_for_method(d, method, alpha, anchor)
 
     def power(rho: float) -> float:
-        return d.cdf(rho * c_left) + d.sf(rho * c_right)
+        return variance_power(d, c_left, c_right, rho)
 
     n = _RHO_GRID_POINTS
     logs = [_RHO_LOG_LO + (_RHO_LOG_HI - _RHO_LOG_LO) * i / (n - 1) for i in range(n)]
@@ -383,7 +358,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
             "prob": d.pdf_or_pmf(x),
             "p_one_sided": min(d.cdf(x), d.sf(x)),
             "p_min_likelihood": p_min_likelihood(d, x),
-            "p_conditional": p_conditional_discrete(d, x, a),
+            "p_conditional": p_conditional(d, x, a),
         })
     return rows
 
@@ -407,7 +382,7 @@ def _fig1(resolution: int) -> tuple[list[str], list[tuple]]:
     header = ["rho"] + [name for name, _, _ in regions]
     rows = []
     for rho in grid:
-        rows.append(tuple([rho] + [d.cdf(rho * cl) + d.sf(rho * cr) for _, cl, cr in regions]))
+        rows.append(tuple([rho] + [variance_power(d, cl, cr, rho) for _, cl, cr in regions]))
     return header, rows
 
 
@@ -440,7 +415,7 @@ def _fig3(resolution: int) -> tuple[list[str], list[tuple]]:
         rows.append(("chisq5", x,
                      p_min_likelihood(chisq, x),
                      p_doubled(chisq, x, anchor, truncate=False),
-                     p_conditional_continuous(chisq, x, anchor)))
+                     p_conditional(chisq, x, anchor)))
     trunc = TruncatedNormal(0.5)
     t_anchor = trunc.mean()
     for i in range(resolution + 1):
@@ -448,7 +423,7 @@ def _fig3(resolution: int) -> tuple[list[str], list[tuple]]:
         rows.append(("truncnorm05", x,
                      p_min_likelihood(trunc, x),
                      p_doubled(trunc, x, t_anchor, truncate=False),
-                     p_conditional_continuous(trunc, x, t_anchor)))
+                     p_conditional(trunc, x, t_anchor)))
     return header, rows
 
 
@@ -464,8 +439,8 @@ def _fig4(resolution: int) -> tuple[list[str], list[tuple]]:
             x = float(k)
             rows.append((panel, x,
                          p_min_likelihood(d, x),
-                         p_conditional_discrete(d, x, a),
-                         p_conditional_discrete(d, x, a, modified=True),
+                         p_conditional(d, x, a),
+                         p_conditional(d, x, a, modified=True),
                          p_doubled(d, x)))
     return header, rows
 

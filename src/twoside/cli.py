@@ -80,13 +80,13 @@ _METHOD_ALIASES = {
     "minlik": pvalue.MIN_LIKELIHOOD,
 }
 
-_BIAS_METHOD_ALIASES = {
-    "doubled": pvalue.DOUBLED,
-    "conditional": pvalue.CONDITIONAL,
-    "umpu": analysis.UMPU,
-    "min_likelihood": pvalue.MIN_LIKELIHOOD,
-    "minlik": pvalue.MIN_LIKELIHOOD,
-}
+_BIAS_METHOD_ALIASES = {name: method
+                        for name, method in {**_METHOD_ALIASES, "umpu": analysis.UMPU}.items()
+                        if method in analysis.BIAS_METHODS}
+
+# what a command handler returns: the command name, the echoed inputs, and
+# either the results of a JSON envelope or finished CSV text
+_Payload = tuple[str, dict, dict | str]
 
 
 def _parse_number(token: str, kind: str, context: str) -> float | int:
@@ -130,12 +130,7 @@ def parse_methods(text: str, is_discrete: bool) -> list[tuple[str, pvalue.Weight
     for token in text.split(","):
         token = token.strip()
         if token == "all":
-            if is_discrete:
-                names = (pvalue.DOUBLED, pvalue.CONDITIONAL,
-                         pvalue.CONDITIONAL_MODIFIED, pvalue.MIN_LIKELIHOOD)
-            else:
-                names = (pvalue.DOUBLED, pvalue.CONDITIONAL, pvalue.MIN_LIKELIHOOD)
-            out.extend((name, None) for name in names)
+            out.extend((name, None) for name in pvalue.default_methods(is_discrete))
         elif token.startswith("weighted:"):
             w_left = float(_parse_number(token[len("weighted:"):], "float", "weighted weight"))
             if not (0.0 < w_left < 1.0):
@@ -317,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pvalue(args: argparse.Namespace) -> str:
+def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
     d = parse_dist(args.dist)
     anchor = parse_anchor(args.anchor)
     methods = parse_methods(args.method, d.is_discrete)
@@ -354,31 +349,28 @@ def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
     return names
 
 
-def _cmd_test(args: argparse.Namespace) -> str:
+def _cmd_test(args: argparse.Namespace) -> _Payload:
     anchor = parse_anchor(args.anchor)
+    methods = _method_names(args.method, args.subcommand in ("binomial", "fisher"))
     if args.subcommand == "variance":
         if args.data is not None:
             if args.s2 is not None or args.n is not None:
                 raise UsageError("pass either --data or --s2/--n, not both")
             sample = _read_sample(args.data)
-            methods = _method_names(args.method, False)
             report = stattests.variance_test_from_sample(sample, args.sigma0sq,
                                                          anchor=anchor, methods=methods)
             inputs = {"data": args.data, "n": len(sample), "sigma0sq": args.sigma0sq}
         else:
             if args.s2 is None or args.n is None:
                 raise UsageError("variance test needs --s2 and --n (or --data)")
-            methods = _method_names(args.method, False)
             report = stattests.variance_test(args.s2, args.n, args.sigma0sq,
                                              anchor=anchor, methods=methods)
             inputs = {"s2": args.s2, "n": args.n, "sigma0sq": args.sigma0sq}
     elif args.subcommand == "f":
-        methods = _method_names(args.method, False)
         report = stattests.f_test(args.s1sq, args.n1, args.s2sq, args.n2,
                                   anchor=anchor, methods=methods)
         inputs = {"s1sq": args.s1sq, "n1": args.n1, "s2sq": args.s2sq, "n2": args.n2}
     elif args.subcommand == "binomial":
-        methods = _method_names(args.method, True)
         report = stattests.binomial_test(args.x, args.n, args.p0,
                                          anchor=anchor, methods=methods)
         inputs = {"x": args.x, "n": args.n, "p0": args.p0}
@@ -387,7 +379,6 @@ def _cmd_test(args: argparse.Namespace) -> str:
         if len(cells) != 4:
             raise UsageError(f"--table needs 4 cell counts, got {len(cells)}")
         table = stattests.ContingencyTable(*cells)
-        methods = _method_names(args.method, True)
         report = stattests.fisher_exact(table, anchor=anchor, methods=methods)
         inputs = {"table": cells}
     inputs["anchor"] = args.anchor
@@ -415,7 +406,13 @@ def _read_sample(path: str) -> list[float]:
     return sample
 
 
-def _cmd_analyze(args: argparse.Namespace) -> str:
+def _table_results(rows: list[dict], header: list[str], fmt: str) -> dict | str:
+    if fmt == "csv":
+        return _render_csv(header, [[r[k] for k in header] for r in rows])
+    return {"rows": rows}
+
+
+def _cmd_analyze(args: argparse.Namespace) -> _Payload:
     if args.subcommand == "umpu":
         d = parse_dist(args.dist)
         w_star, region = analysis.umpu_weights(d, args.alpha)
@@ -453,10 +450,7 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
         ps = _parse_float_list(args.p, "table1 p") if args.p else list(analysis.TABLE1_PS)
         rows = analysis.binomial_weight_table(ns, ps)
         header = ["n", "p", "w_left", "weight_ratio", "w_left_modified"]
-        if args.format == "csv":
-            return "csv", _render_csv(header, [[r[k] for k in header] for r in rows])
-        inputs = {"n": ns, "p": ps}
-        return "analyze.table1", inputs, {"rows": rows}
+        return "analyze.table1", {"n": ns, "p": ps}, _table_results(rows, header, args.format)
 
     if args.subcommand == "table2":
         margins = _parse_int_list(args.margins, "margins")
@@ -464,13 +458,11 @@ def _cmd_analyze(args: argparse.Namespace) -> str:
             raise UsageError(f"--margins needs row1,col1,total, got {len(margins)} values")
         rows = analysis.fisher_pvalue_table(*margins)
         header = ["n11", "prob", "p_one_sided", "p_min_likelihood", "p_conditional"]
-        if args.format == "csv":
-            return "csv", _render_csv(header, [[r[k] for k in header] for r in rows])
-        inputs = {"margins": margins}
-        return "analyze.table2", inputs, {"rows": rows}
+        return "analyze.table2", {"margins": margins}, _table_results(rows, header, args.format)
 
     header, rows = analysis.figure_data(args.which, args.resolution)
-    return "csv", _render_csv(header, rows)
+    inputs = {"which": args.which, "resolution": args.resolution}
+    return "analyze.figure", inputs, _render_csv(header, rows)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -483,14 +475,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            payload = handler[args.command](args)
+            command, inputs, results = handler[args.command](args)
         warning_list = [str(w.message) for w in caught]
-        if payload[0] == "csv":
-            text = payload[1]
+        if isinstance(results, str):
+            text = results
             for message in warning_list:
                 print(f"warning: {message}", file=sys.stderr)
         else:
-            command, inputs, results = payload
             text = _render_json(command, inputs, results, warning_list)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,13 +9,18 @@ the support:
 - ``weighted``: each tail divided by a caller-chosen weight; the doubled
   rule is the special case with weights (1/2, 1/2).
 - ``conditional``: each tail divided by its own null probability, i.e. the
-  p-value conditional on the observed side of the anchor. The discrete
-  version uses inclusive tail weights P(X <= A) and P(X >= A).
-- ``conditional_modified``: discrete variant dividing both weights by
-  1 + P(X = A) when the anchor is attainable, which penalizes the
-  anchor point itself less severely.
+  p-value conditional on the observed side of the anchor. One function,
+  :func:`p_conditional`, serves continuous and discrete families; discrete
+  tails are inclusive, so the weights are P(X <= A) and P(X >= A).
+- ``conditional_modified``: both weights divided by 1 + P(X = A) when the
+  anchor is an attainable support point, which penalizes the anchor point
+  itself less severely; for continuous families it equals ``conditional``.
 - ``min_likelihood``: total null probability of outcomes no more likely
   than the observed one.
+
+The continuous doubled, weighted and conditional values share one shape:
+the observed tail, P(X <= x) below the anchor and P(X >= x) above it,
+divided by the weight of its side, and 1 at the anchor itself.
 
 Anchors are resolved by :func:`resolve_anchor` from "mean", "mode",
 "median", or an explicit numeric value.
@@ -37,6 +42,7 @@ __all__ = [
     "CONDITIONAL_MODIFIED",
     "MIN_LIKELIHOOD",
     "METHODS",
+    "default_methods",
     "MEAN",
     "MODE",
     "MEDIAN",
@@ -47,8 +53,7 @@ __all__ = [
     "p_value",
     "p_weighted",
     "p_doubled",
-    "p_conditional_continuous",
-    "p_conditional_discrete",
+    "p_conditional",
     "p_min_likelihood",
     "conjugate_point",
     "pc_equivalent_point",
@@ -91,6 +96,22 @@ class Weights:
         for name, w in (("w_left", self.w_left), ("w_right", self.w_right)):
             if not math.isfinite(w) or not (0.0 < w <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1], got {w!r}")
+
+
+# the tail weights of the doubled p-value
+_HALVES = Weights(0.5, 0.5)
+
+
+def default_methods(is_discrete: bool) -> tuple[str, ...]:
+    """The methods reported when none are named.
+
+    ``weighted`` needs caller-chosen weights, so it is never a default;
+    ``conditional_modified`` differs from ``conditional`` only for discrete
+    families.
+    """
+    if is_discrete:
+        return (DOUBLED, CONDITIONAL, CONDITIONAL_MODIFIED, MIN_LIKELIHOOD)
+    return (DOUBLED, CONDITIONAL, MIN_LIKELIHOOD)
 
 
 def resolve_anchor(d: Distribution, anchor: TailAnchor) -> float:
@@ -145,18 +166,27 @@ def _modified_scale(d: Distribution, anchor_value: float) -> float:
     return 1.0 + d.pdf_or_pmf(anchor_value)
 
 
+def _anchored_tail(d: Distribution, x: float, anchor_value: float, w: Weights,
+                   scale: float = 1.0) -> float:
+    """tail(x) * scale / w_side: P(X <= x) below the anchor, P(X >= x) above it.
+
+    Returns 1 at the anchor; the caller caps the value at 1 where needed.
+    """
+    if x == anchor_value:
+        return 1.0
+    if x < anchor_value:
+        return d.cdf(x) * scale / w.w_left
+    return d.sf(x) * scale / w.w_right
+
+
 def p_weighted(d: Distribution, x: float, anchor_value: float, weights: Weights) -> float:
     """Tail probability divided by its weight, capped at 1 (continuous)."""
     if d.is_discrete:
         raise ValueError("p_weighted is defined for continuous distributions; "
-                         "use p_conditional_discrete for discrete families")
+                         "use p_conditional for discrete families")
     if abs(weights.w_left + weights.w_right - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {weights.w_left!r} + {weights.w_right!r}")
-    if x == anchor_value:
-        return 1.0
-    if x < anchor_value:
-        return min(1.0, d.cdf(x) / weights.w_left)
-    return min(1.0, d.sf(x) / weights.w_right)
+    return min(1.0, _anchored_tail(d, x, anchor_value, weights))
 
 
 def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
@@ -173,45 +203,28 @@ def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
     else:
         if anchor_value is None:
             raise ValueError("continuous doubled p-values need an anchor to pick the tail")
-        if x == anchor_value:
-            return 1.0
-        raw = 2.0 * d.cdf(x) if x < anchor_value else 2.0 * d.sf(x)
+        raw = _anchored_tail(d, x, anchor_value, _HALVES)
     return min(1.0, raw) if truncate else raw
 
 
-def p_conditional_continuous(d: Distribution, x: float, anchor_value: float) -> float:
-    """Tail probability divided by the anchored tail's null probability."""
-    if d.is_discrete:
-        raise ValueError("use p_conditional_discrete for discrete families")
-    w_left = d.cdf(anchor_value)
-    if w_left <= 0.0 or w_left >= 1.0:
+def p_conditional(d: Distribution, x: float, anchor_value: float, *,
+                  modified: bool = False) -> float:
+    """Tail probability divided by the anchored tail's null probability, capped at 1.
+
+    The weights are :func:`tail_weights`. With ``modified=True`` both
+    weights are divided by 1 + P(X = A) when the anchor is an attainable
+    support point; otherwise (and for every continuous family) the two
+    variants agree.
+    """
+    try:
+        w = tail_weights(d, anchor_value)
+    except ValueError:
         raise ValueError(
             f"anchor {anchor_value!r} sits at or outside the support boundary; "
             "the conditional p-value needs both tails to have positive probability"
-        )
-    if x == anchor_value:
-        return 1.0
-    if x < anchor_value:
-        return d.cdf(x) / w_left
-    return d.sf(x) / (1.0 - w_left)
-
-
-def p_conditional_discrete(d: Distribution, x: float, anchor_value: float, *,
-                           modified: bool = False) -> float:
-    """Inclusive tail probability divided by the tail weight, capped at 1.
-
-    With ``modified=True`` both weights are divided by 1 + P(X = A) when the
-    anchor is attainable; for unattainable anchors the two variants agree.
-    """
-    if not d.is_discrete:
-        raise ValueError("use p_conditional_continuous for continuous families")
-    w = tail_weights(d, anchor_value)
+        ) from None
     scale = _modified_scale(d, anchor_value) if modified else 1.0
-    if x == anchor_value:
-        return 1.0
-    if x < anchor_value:
-        return min(1.0, d.cdf(x) * scale / w.w_left)
-    return min(1.0, d.sf(x) * scale / w.w_right)
+    return min(1.0, _anchored_tail(d, x, anchor_value, w, scale))
 
 
 def p_min_likelihood(d: Distribution, x: float, *, tie_tol: float = DEFAULT_TIE_TOL) -> float:
@@ -284,6 +297,10 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
                 hi = mode + step
             else:
                 return None
+        # when f(x) ties the density at the mode within rounding, the computed
+        # height at the mode can be negative and brentq has no sign change
+        if height(mode) <= 0.0:
+            return mode
         return brentq(height, mode, hi, rtol=_ROOT_RTOL, atol=1e-300)
 
     lo = sup.lo
@@ -295,6 +312,8 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
         return None
     if boundary == fx:
         return lo
+    if height(mode) <= 0.0:
+        return mode
     return brentq(height, lo, mode, rtol=_ROOT_RTOL, atol=1e-300)
 
 
@@ -311,7 +330,7 @@ def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float
     if x == anchor_value:
         raise ValueError("x must differ from the anchor")
     w_left = d.cdf(anchor_value)
-    pc = p_conditional_continuous(d, x, anchor_value)
+    pc = p_conditional(d, x, anchor_value)
     if x < anchor_value:
         target = 1.0 - (1.0 - w_left) * pc
     else:
@@ -336,17 +355,12 @@ def p_value(d: Distribution, x: float, method: str, *,
         return p_min_likelihood(d, x, tie_tol=tie_tol)
     if method not in METHODS:
         raise ValueError(f"unknown p-value method {method!r}; expected one of {METHODS}")
-    if anchor_value is None and not (method == DOUBLED and d.is_discrete):
-        raise ValueError(f"method {method!r} needs a resolved anchor value")
     if method == DOUBLED:
         return p_doubled(d, x, anchor_value, truncate=truncate)
+    if anchor_value is None:
+        raise ValueError(f"method {method!r} needs a resolved anchor value")
     if method == WEIGHTED:
         if weights is None:
             raise ValueError("the weighted method needs explicit weights")
         return p_weighted(d, x, anchor_value, weights)
-    modified = method == CONDITIONAL_MODIFIED
-    if d.is_discrete:
-        return p_conditional_discrete(d, x, anchor_value, modified=modified)
-    # for continuous families P(X = A) = 0, so the modified variant
-    # coincides with the plain conditional one
-    return p_conditional_continuous(d, x, anchor_value)
+    return p_conditional(d, x, anchor_value, modified=method == CONDITIONAL_MODIFIED)

@@ -16,12 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 __all__ = [
-    "Accuracy",
-    "DEFAULT_ACCURACY",
-    "log_gamma",
     "log_choose",
     "reg_gamma_lower",
     "reg_gamma_upper",
@@ -37,34 +33,11 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _TINY = 1e-300
 
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Convergence targets for the iterative kernels.
-
-    ``rel_tol`` is a relative tolerance on the converged value (or on the
-    argument, for the inverses). It must stay far tighter than anything the
-    statistical layer reports, which is 3-4 significant digits.
-    """
-
-    rel_tol: float = 1e-12
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol!r}")
-        if self.max_iter < 50:
-            raise ValueError(f"max_iter must be at least 50, got {self.max_iter!r}")
-
-
-DEFAULT_ACCURACY = Accuracy()
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
+# Convergence targets of the iterative kernels: a relative tolerance on the
+# converged value (or on the argument, for the inverses), far tighter than
+# anything the statistical layer reports, and an iteration cap.
+_REL_TOL = 1e-12
+_MAX_ITER = 200
 
 
 def log_choose(n: int, k: int) -> float:
@@ -88,47 +61,47 @@ def _gamma_log_scale(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a)
 
 
-def _gamma_series(a: float, x: float, acc: Accuracy) -> float:
+def _gamma_series(a: float, x: float) -> float:
     # lower tail series: P(a,x) = x^a e^-x / Gamma(a) * sum x^n / (a (a+1) ... (a+n))
     # Terms shrink by q = x/denom once denom > x, so the remaining tail is
     # bounded by term * q / (1 - q); converging on that bound (with margin)
-    # instead of on the last term keeps the true error inside rel_tol even
+    # instead of on the last term keeps the true error inside _REL_TOL even
     # close to the series/fraction switch point where q is near 1.
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(acc.max_iter):
+    for _ in range(_MAX_ITER):
         denom += 1.0
         term *= x / denom
         total += term
         q = x / (denom + 1.0)
-        if q < 1.0 and term * q / (1.0 - q) < abs(total) * (acc.rel_tol / 16.0):
+        if q < 1.0 and term * q / (1.0 - q) < abs(total) * (_REL_TOL / 16.0):
             return total * math.exp(_gamma_log_scale(a, x))
     raise ArithmeticError("regularized gamma series did not converge")
 
 
-def _lentz_converged(err: float, prev_err: float, rel_tol: float) -> bool:
+def _lentz_converged(err: float, prev_err: float) -> bool:
     # The per-step factors delta approach 1 geometrically, so the remaining
     # relative error of the product is about err * r / (1 - r) with
     # r = err/prev_err. Converging on that bound (with a 16x margin) rather
-    # than on the last delta alone keeps the true error inside rel_tol even
+    # than on the last delta alone keeps the true error inside _REL_TOL even
     # where the fraction converges slowly.
     if err == 0.0:
         return True
     if not math.isfinite(prev_err) or prev_err <= 0.0:
         return False
     r = err / prev_err
-    return r < 1.0 and err * r / (1.0 - r) < rel_tol / 16.0
+    return r < 1.0 and err * r / (1.0 - r) < _REL_TOL / 16.0
 
 
-def _gamma_continued_fraction(a: float, x: float, acc: Accuracy) -> float:
+def _gamma_continued_fraction(a: float, x: float) -> float:
     # upper tail Q(a,x) by modified Lentz evaluation of the Legendre fraction
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
     h = d
     prev_err = math.inf
-    for i in range(1, acc.max_iter + 1):
+    for i in range(1, _MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -141,39 +114,37 @@ def _gamma_continued_fraction(a: float, x: float, acc: Accuracy) -> float:
         delta = d * c
         h *= delta
         err = abs(delta - 1.0)
-        if _lentz_converged(err, prev_err, acc.rel_tol):
+        if _lentz_converged(err, prev_err):
             return h * math.exp(_gamma_log_scale(a, x))
         prev_err = err
     raise ArithmeticError("regularized gamma continued fraction did not converge")
 
 
-def reg_gamma_lower(a: float, x: float, acc: Accuracy | None = None) -> float:
+def reg_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x)."""
-    acc = acc or DEFAULT_ACCURACY
     _check_gamma_args(a, x)
     if x == 0.0:
         return 0.0
     if x < a + 1.0:
-        return _gamma_series(a, x, acc)
-    return 1.0 - _gamma_continued_fraction(a, x, acc)
+        return _gamma_series(a, x)
+    return 1.0 - _gamma_continued_fraction(a, x)
 
 
-def reg_gamma_upper(a: float, x: float, acc: Accuracy | None = None) -> float:
+def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x)."""
-    acc = acc or DEFAULT_ACCURACY
     _check_gamma_args(a, x)
     if x == 0.0:
         return 1.0
     if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x, acc)
-    return _gamma_continued_fraction(a, x, acc)
+        return 1.0 - _gamma_series(a, x)
+    return _gamma_continued_fraction(a, x)
 
 
 def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_continued_fraction(x: float, a: float, b: float, acc: Accuracy) -> float:
+def _beta_continued_fraction(x: float, a: float, b: float) -> float:
     # modified Lentz evaluation of the standard continued fraction for I_x(a,b)
     qab = a + b
     qap = a + 1.0
@@ -185,7 +156,7 @@ def _beta_continued_fraction(x: float, a: float, b: float, acc: Accuracy) -> flo
     d = 1.0 / d
     h = d
     prev_err = math.inf
-    for m in range(1, acc.max_iter + 1):
+    for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -207,15 +178,14 @@ def _beta_continued_fraction(x: float, a: float, b: float, acc: Accuracy) -> flo
         delta = d * c
         h *= delta
         err = abs(delta - 1.0)
-        if _lentz_converged(err, prev_err, acc.rel_tol):
+        if _lentz_converged(err, prev_err):
             return h
         prev_err = err
     raise ArithmeticError("regularized beta continued fraction did not converge")
 
 
-def reg_beta(x: float, a: float, b: float, acc: Accuracy | None = None) -> float:
+def reg_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    acc = acc or DEFAULT_ACCURACY
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
         raise ValueError(f"shape parameters must be finite and > 0, got a={a!r}, b={b!r}")
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
@@ -226,8 +196,8 @@ def reg_beta(x: float, a: float, b: float, acc: Accuracy | None = None) -> float
         return 1.0
     log_front = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
     if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_continued_fraction(x, a, b, acc) / a
-    return 1.0 - math.exp(log_front) * _beta_continued_fraction(1.0 - x, b, a, acc) / b
+        return math.exp(log_front) * _beta_continued_fraction(x, a, b) / a
+    return 1.0 - math.exp(log_front) * _beta_continued_fraction(1.0 - x, b, a) / b
 
 
 def _check_prob_for_inverse(p: float) -> None:
@@ -235,12 +205,11 @@ def _check_prob_for_inverse(p: float) -> None:
         raise ValueError(f"probability must lie in [0, 1), got {p!r}")
 
 
-def inv_reg_gamma_lower(a: float, p: float, acc: Accuracy | None = None) -> float:
+def inv_reg_gamma_lower(a: float, p: float) -> float:
     """Inverse of ``reg_gamma_lower`` in x: returns x with P(a, x) = p.
 
     p = 1 is rejected (the inverse diverges); p = 0 returns 0.
     """
-    acc = acc or DEFAULT_ACCURACY
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"shape parameter must be finite and > 0, got {a!r}")
     _check_prob_for_inverse(p)
@@ -250,7 +219,7 @@ def inv_reg_gamma_lower(a: float, p: float, acc: Accuracy | None = None) -> floa
     lo = 0.0
     hi = a + 10.0 * math.sqrt(a) + 10.0
     for _ in range(600):
-        if reg_gamma_lower(a, hi, acc) >= p:
+        if reg_gamma_lower(a, hi) >= p:
             break
         lo = hi
         hi *= 2.0
@@ -266,8 +235,8 @@ def inv_reg_gamma_lower(a: float, p: float, acc: Accuracy | None = None) -> floa
         x = 0.5 * (lo + hi)
 
     log_gamma_a = math.lgamma(a)
-    for _ in range(acc.max_iter):
-        fx = reg_gamma_lower(a, x, acc) - p
+    for _ in range(_MAX_ITER):
+        fx = reg_gamma_lower(a, x) - p
         if fx > 0.0:
             hi = x
         elif fx < 0.0:
@@ -279,15 +248,14 @@ def inv_reg_gamma_lower(a: float, p: float, acc: Accuracy | None = None) -> floa
         nxt = x - step
         if not math.isfinite(nxt) or not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= acc.rel_tol * max(abs(nxt), _TINY):
+        if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
             return nxt
         x = nxt
     return x
 
 
-def inv_reg_beta(p: float, a: float, b: float, acc: Accuracy | None = None) -> float:
+def inv_reg_beta(p: float, a: float, b: float) -> float:
     """Inverse of ``reg_beta`` in x: returns x in [0, 1] with I_x(a, b) = p."""
-    acc = acc or DEFAULT_ACCURACY
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
         raise ValueError(f"shape parameters must be finite and > 0, got a={a!r}, b={b!r}")
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
@@ -300,8 +268,8 @@ def inv_reg_beta(p: float, a: float, b: float, acc: Accuracy | None = None) -> f
     lo, hi = 0.0, 1.0
     x = a / (a + b)
     log_beta_ab = _log_beta(a, b)
-    for _ in range(acc.max_iter):
-        fx = reg_beta(x, a, b, acc) - p
+    for _ in range(_MAX_ITER):
+        fx = reg_beta(x, a, b) - p
         if fx > 0.0:
             hi = x
         elif fx < 0.0:
@@ -313,7 +281,7 @@ def inv_reg_beta(p: float, a: float, b: float, acc: Accuracy | None = None) -> f
         nxt = x - step
         if not math.isfinite(nxt) or not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= acc.rel_tol * max(abs(nxt), _TINY):
+        if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
             return nxt
         x = nxt
     return x

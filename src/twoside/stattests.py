@@ -19,13 +19,9 @@ from typing import Sequence
 
 from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric
 from .pvalue import (
-    CONDITIONAL,
-    CONDITIONAL_MODIFIED,
-    DOUBLED,
-    MIN_LIKELIHOOD,
-    METHODS,
     TailAnchor,
     Weights,
+    default_methods,
     p_value,
     resolve_anchor,
     tail_weights,
@@ -45,10 +41,6 @@ __all__ = [
     "glr_statistic",
     "DAVIS_STATISTIC_IDS",
 ]
-
-# default method sets; "weighted" needs caller-chosen weights so it is not a default
-_DISCRETE_METHODS = (DOUBLED, CONDITIONAL, CONDITIONAL_MODIFIED, MIN_LIKELIHOOD)
-_CONTINUOUS_METHODS = (DOUBLED, CONDITIONAL, MIN_LIKELIHOOD)
 
 DAVIS_STATISTIC_IDS = ("t1", "t2", "t3", "t4", "t5", "t6")
 
@@ -169,11 +161,7 @@ def _report(d: Distribution, statistic: float, anchor: TailAnchor,
             methods: Sequence[str] | None) -> TestReport:
     anchor_value = resolve_anchor(d, anchor)
     if methods is None:
-        methods = _DISCRETE_METHODS if d.is_discrete else _CONTINUOUS_METHODS
-    else:
-        for m in methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown p-value method {m!r}; expected one of {METHODS}")
+        methods = default_methods(d.is_discrete)
     weights = tail_weights(d, anchor_value)
     two_sided = {m: p_value(d, statistic, m, anchor_value=anchor_value) for m in methods}
     if statistic < anchor_value:

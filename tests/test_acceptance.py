@@ -209,8 +209,8 @@ def test_criterion_01():
 def test_criterion_02():
     d = CHISQ5
     assert d.cdf(5.0) == pytest.approx(0.584, abs=5e-4)
-    assert pvalue.p_conditional_continuous(d, 0.5, 5.0) == pytest.approx(0.0135, abs=5e-5)
-    assert pvalue.p_conditional_continuous(d, 9.256, 5.0) == pytest.approx(0.239, abs=5e-4)
+    assert pvalue.p_conditional(d, 0.5, 5.0) == pytest.approx(0.0135, abs=5e-5)
+    assert pvalue.p_conditional(d, 9.256, 5.0) == pytest.approx(0.239, abs=5e-4)
     point = pvalue.pc_equivalent_point(d, 0.5, 5.0)
     assert point == pytest.approx(16.48, abs=1e-2)
     assert d.sf(point) == pytest.approx(0.0056, abs=5e-5)
@@ -485,8 +485,8 @@ def test_criterion_11():
         for forward, inverse in transforms:
             image = _MonotoneImage(d, inverse)
             for x in grid:
-                direct = pvalue.p_conditional_continuous(d, x, anchor)
-                mapped = pvalue.p_conditional_continuous(
+                direct = pvalue.p_conditional(d, x, anchor)
+                mapped = pvalue.p_conditional(
                     image, forward(x), forward(anchor))
                 assert mapped == pytest.approx(direct, abs=1e-10)
 
@@ -496,7 +496,7 @@ def test_criterion_12():
     d = Triangular(1.0, 3.0)
     for i in range(200):
         x = -1.0 + 4.0 * (i + 0.5) / 200.0
-        p_cond = pvalue.p_conditional_continuous(d, x, 0.0)
+        p_cond = pvalue.p_conditional(d, x, 0.0)
         p_min = pvalue.p_min_likelihood(d, x)
         assert p_cond == pytest.approx(p_min, abs=1e-10)
     u = Uniform(0.0, 1.0)

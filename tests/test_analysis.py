@@ -28,13 +28,12 @@ from twoside.analysis import (
     fisher_pvalue_table,
     lower_partial_mean,
     minlik_region,
-    power_curve,
     power_derivative_at_null,
     umpu_weights,
     variance_power,
 )
 from twoside.dist import Binomial, ChiSquare, FRatio, TruncatedNormal
-from twoside.pvalue import p_conditional_continuous
+from twoside.pvalue import p_conditional
 
 CHISQ5 = ChiSquare(5)
 ALPHA = 0.05
@@ -143,10 +142,10 @@ def test_critical_region_invariants(alpha, w):
         assert d.cdf(r.c_left) == pytest.approx(w * alpha, abs=1e-12)
         assert d.cdf(r.anchor) == pytest.approx(w, abs=1e-10)
         # the conditional p-value anchored at r.anchor rejects exactly there
-        assert p_conditional_continuous(d, r.c_left, r.anchor) == pytest.approx(
+        assert p_conditional(d, r.c_left, r.anchor) == pytest.approx(
             alpha, abs=1e-9
         )
-        assert p_conditional_continuous(d, r.c_right, r.anchor) == pytest.approx(
+        assert p_conditional(d, r.c_right, r.anchor) == pytest.approx(
             alpha, abs=1e-9
         )
 
@@ -173,26 +172,16 @@ def test_critical_region_validation():
 def test_variance_power_is_alpha_at_null():
     for w in (0.3, 0.5, 0.731):
         r = critical_region_from_weights(CHISQ5, ALPHA, w)
-        assert variance_power(CHISQ5, r, 1.0) == pytest.approx(ALPHA, abs=1e-12)
+        assert variance_power(CHISQ5, r.c_left, r.c_right, 1.0) == pytest.approx(ALPHA, abs=1e-12)
     with pytest.raises(ValueError):
-        variance_power(CHISQ5, critical_region_from_weights(CHISQ5, ALPHA, 0.5), 0.0)
-
-
-def test_power_curve_object():
-    r = critical_region_from_weights(CHISQ5, ALPHA, 0.5)
-    grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    curve = power_curve(CHISQ5, r, grid, method="doubled", level=ALPHA)
-    assert curve.rho_grid == tuple(grid)
-    assert curve.method == "doubled" and curve.level == ALPHA
-    assert all(0.0 <= p <= 1.0 for p in curve.power)
-    assert curve.power[2] == pytest.approx(ALPHA, abs=1e-12)
+        variance_power(CHISQ5, 1.0, 10.0, 0.0)
 
 
 def test_umpu_power_has_zero_slope_at_null():
     w_star, region = umpu_weights(CHISQ5, ALPHA)
     h = 1e-4
-    slope = (variance_power(CHISQ5, region, 1.0 + h)
-             - variance_power(CHISQ5, region, 1.0 - h)) / (2.0 * h)
+    slope = (variance_power(CHISQ5, region.c_left, region.c_right, 1.0 + h)
+             - variance_power(CHISQ5, region.c_left, region.c_right, 1.0 - h)) / (2.0 * h)
     assert abs(slope) < 1e-6
 
 
@@ -200,8 +189,9 @@ def test_doubled_and_conditional_power_minima():
     doubled = critical_region_from_weights(CHISQ5, ALPHA, 0.5)
     conditional = critical_region_from_weights(CHISQ5, ALPHA, CHISQ5.cdf(5.0))
     grid = [0.05 + 5.95 * i / 400 for i in range(401)]
-    min_doubled = min(variance_power(CHISQ5, doubled, r) for r in grid)
-    min_conditional = min(variance_power(CHISQ5, conditional, r) for r in grid)
+    min_doubled = min(variance_power(CHISQ5, doubled.c_left, doubled.c_right, r) for r in grid)
+    min_conditional = min(variance_power(CHISQ5, conditional.c_left, conditional.c_right, r)
+                          for r in grid)
     assert min_doubled == pytest.approx(0.045, abs=5e-4)
     assert min_conditional == pytest.approx(0.048, abs=5e-4)
 
@@ -282,15 +272,15 @@ def test_power_derivative_matches_numeric_rho_derivative():
     h = 1e-4
     for w in (0.3, 0.6, 0.85):
         region = critical_region_from_weights(CHISQ5, ALPHA, w)
-        numeric = (variance_power(CHISQ5, region, 1.0 + h)
-                   - variance_power(CHISQ5, region, 1.0 - h)) / (2.0 * h)
+        numeric = (variance_power(CHISQ5, region.c_left, region.c_right, 1.0 + h)
+                   - variance_power(CHISQ5, region.c_left, region.c_right, 1.0 - h)) / (2.0 * h)
         closed = power_derivative_at_null(CHISQ5, ALPHA, w)
         assert numeric == pytest.approx(-0.5 * closed, abs=1e-5)
 
         d = FRatio(5, 11)
         region_f = critical_region_from_weights(d, ALPHA, w)
-        numeric_f = (variance_power(d, region_f, 1.0 + h)
-                     - variance_power(d, region_f, 1.0 - h)) / (2.0 * h)
+        numeric_f = (variance_power(d, region_f.c_left, region_f.c_right, 1.0 + h)
+                     - variance_power(d, region_f.c_left, region_f.c_right, 1.0 - h)) / (2.0 * h)
         closed_f = power_derivative_at_null(d, ALPHA, w)
         assert numeric_f == pytest.approx(-closed_f, abs=1e-5)
 
@@ -305,6 +295,17 @@ def test_minlik_region_defining_equations():
     assert right == pytest.approx(11.1914636, abs=1e-6)
     assert CHISQ5.pdf_or_pmf(left) == pytest.approx(CHISQ5.pdf_or_pmf(right), rel=1e-8)
     assert CHISQ5.cdf(left) + CHISQ5.sf(right) == pytest.approx(ALPHA, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [ChiSquare(k) for k in (6, 9, 10, 13, 16, 20, 21, 22, 27)]
+                         + [FRatio(5, 10), FRatio(50, 80)], ids=repr)
+def test_minlik_region_when_a_density_ties_the_mode(d):
+    # the bracket's upper end sits within 1e-9 of the mode, where the rounded
+    # density can tie or exceed the computed density at the mode itself
+    left, right = minlik_region(d, ALPHA)
+    assert left < d.mode_set()[0] < right
+    assert d.pdf_or_pmf(left) == pytest.approx(d.pdf_or_pmf(right), rel=1e-8)
+    assert d.cdf(left) + d.sf(right) == pytest.approx(ALPHA, abs=1e-10)
 
 
 def test_minlik_region_min_power():

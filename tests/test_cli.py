@@ -54,7 +54,7 @@ def test_pvalue_conditional_golden(capsys):
     assert code == 0
     p = json.loads(out)["results"]["p_values"]["conditional"]
     assert p == pytest.approx(0.0135, abs=5e-5)
-    lib = pvalue.p_conditional_continuous(ChiSquare(5), 0.5, MEAN5)
+    lib = pvalue.p_conditional(ChiSquare(5), 0.5, MEAN5)
     assert p == round10(lib)
     assert "0.01348474507" in out  # 10-significant-digit serialization
 
@@ -65,7 +65,7 @@ def test_pvalue_continuous_all_round_trip(capsys):
     d = ChiSquare(5)
     assert p_values["doubled"] == round10(pvalue.p_doubled(d, 0.5, anchor_value=MEAN5))
     assert p_values["conditional"] == round10(
-        pvalue.p_conditional_continuous(d, 0.5, MEAN5))
+        pvalue.p_conditional(d, 0.5, MEAN5))
     assert p_values["min_likelihood"] == round10(pvalue.p_min_likelihood(d, 0.5))
 
 
@@ -86,6 +86,16 @@ def test_pvalue_uniform_min_likelihood_is_one(capsys):
                        "--method", "minlik")
     assert code == 0
     assert json.loads(out)["results"]["p_values"]["min_likelihood"] == 1.0
+
+
+@pytest.mark.parametrize("x", ["6.99999999", "7.0000001"])
+def test_pvalue_min_likelihood_next_to_the_mode(capsys, x):
+    # chi-square(9) has its mode at 7, where the density at x ties the
+    # density at the mode within rounding
+    code, out, err = run(capsys, "pvalue", "--dist", "chisq:9", "--x", x,
+                         "--method", "min_likelihood")
+    assert (code, err) == (0, "")
+    assert 0.99999998 < json.loads(out)["results"]["p_values"]["min_likelihood"] <= 1.0
 
 
 def test_pvalue_weighted_method(capsys):
@@ -114,12 +124,12 @@ def test_pvalue_anchor_forms(capsys):
     _, out, _ = run(capsys, "pvalue", "--dist", "chisq:5", "--x", "0.5",
                     "--anchor", "median", "--method", "conditional")
     median = ChiSquare(5).quantile(0.5)
-    lib = pvalue.p_conditional_continuous(ChiSquare(5), 0.5, median)
+    lib = pvalue.p_conditional(ChiSquare(5), 0.5, median)
     assert json.loads(out)["results"]["p_values"]["conditional"] == round10(lib)
 
     _, out, _ = run(capsys, "pvalue", "--dist", "chisq:5", "--x", "0.5",
                     "--anchor", "value:6.407", "--method", "conditional")
-    lib = pvalue.p_conditional_continuous(ChiSquare(5), 0.5, 6.407)
+    lib = pvalue.p_conditional(ChiSquare(5), 0.5, 6.407)
     assert json.loads(out)["results"]["p_values"]["conditional"] == round10(lib)
 
 

@@ -29,8 +29,7 @@ from twoside.pvalue import (
     METHODS,
     Weights,
     conjugate_point,
-    p_conditional_continuous,
-    p_conditional_discrete,
+    p_conditional,
     p_doubled,
     p_min_likelihood,
     p_value,
@@ -109,8 +108,8 @@ def test_discrete_constructions_match_enumeration(d):
     for x in d.support().points():
         got = {
             "doubled": p_doubled(d, x),
-            "conditional": p_conditional_discrete(d, x, anchor),
-            "conditional_modified": p_conditional_discrete(d, x, anchor, modified=True),
+            "conditional": p_conditional(d, x, anchor),
+            "conditional_modified": p_conditional(d, x, anchor, modified=True),
             "min_likelihood": p_min_likelihood(d, x),
         }
         for method, value in got.items():
@@ -172,40 +171,36 @@ def test_doubled_discrete_golden():
 
 
 def test_conditional_continuous_golden():
-    assert p_conditional_continuous(CHISQ5, 0.5, 5.0) == pytest.approx(0.0135, abs=5e-5)
-    assert p_conditional_continuous(CHISQ5, 9.256, 5.0) == pytest.approx(0.239, abs=5e-4)
-    assert p_conditional_continuous(CHISQ5, 5.0, 5.0) == 1.0
+    assert p_conditional(CHISQ5, 0.5, 5.0) == pytest.approx(0.0135, abs=5e-5)
+    assert p_conditional(CHISQ5, 9.256, 5.0) == pytest.approx(0.239, abs=5e-4)
+    assert p_conditional(CHISQ5, 5.0, 5.0) == 1.0
     # strictly increasing below the anchor, strictly decreasing above
     grid_lo = [0.2, 0.7, 1.9, 3.4, 4.9]
-    vals_lo = [p_conditional_continuous(CHISQ5, x, 5.0) for x in grid_lo]
+    vals_lo = [p_conditional(CHISQ5, x, 5.0) for x in grid_lo]
     assert vals_lo == sorted(vals_lo) and len(set(vals_lo)) == len(vals_lo)
     grid_hi = [5.1, 6.0, 8.5, 12.0, 20.0]
-    vals_hi = [p_conditional_continuous(CHISQ5, x, 5.0) for x in grid_hi]
+    vals_hi = [p_conditional(CHISQ5, x, 5.0) for x in grid_hi]
     assert vals_hi == sorted(vals_hi, reverse=True) and len(set(vals_hi)) == len(vals_hi)
 
 
 def test_conditional_continuous_anchor_domain():
     with pytest.raises(ValueError, match="support boundary"):
-        p_conditional_continuous(Uniform(0.0, 1.0), 0.3, 0.0)
+        p_conditional(Uniform(0.0, 1.0), 0.3, 0.0)
     with pytest.raises(ValueError, match="support boundary"):
-        p_conditional_continuous(Uniform(0.0, 1.0), 0.3, 1.0)
-    with pytest.raises(ValueError, match="discrete"):
-        p_conditional_continuous(Binomial(10, 0.2), 2, 2.0)
-    with pytest.raises(ValueError, match="continuous"):
-        p_conditional_discrete(CHISQ5, 1.0, 5.0)
+        p_conditional(Uniform(0.0, 1.0), 0.3, 1.0)
 
 
 def test_conditional_discrete_golden():
     d = Binomial(10, 0.2)
     # exact: P(X>=5)/P(X>=2) = 0.0525377...; three digits round to 0.053
-    assert p_conditional_discrete(d, 5, 2.0) == pytest.approx(0.0525377, abs=5e-8)
-    assert p_conditional_discrete(d, 5, 2.0, modified=True) == pytest.approx(0.068, abs=5e-4)
+    assert p_conditional(d, 5, 2.0) == pytest.approx(0.0525377, abs=5e-8)
+    assert p_conditional(d, 5, 2.0, modified=True) == pytest.approx(0.068, abs=5e-4)
     h = Hypergeometric(9, 5, 30)
     # exactly 11/271 = 0.04059; the three-digit reference .040 was formed by
     # dividing already-rounded tail entries (.019/.479), so it carries the
     # looser ±0.001 tolerance of such derived table cells
-    assert p_conditional_discrete(h, 4, h.mean()) == pytest.approx(0.040, abs=1e-3)
-    assert p_conditional_discrete(h, 4, h.mean()) == pytest.approx(11.0 / 271.0, abs=1e-12)
+    assert p_conditional(h, 4, h.mean()) == pytest.approx(0.040, abs=1e-3)
+    assert p_conditional(h, 4, h.mean()) == pytest.approx(11.0 / 271.0, abs=1e-12)
 
 
 def test_min_likelihood_golden():
@@ -276,9 +271,9 @@ def test_null_uniformity_of_conditional():
         w_left = d.cdf(anchor)
         for u in (0.01, 0.1, 0.37, 0.64, 0.9, 0.999):
             x_lo = d.quantile(u * w_left)
-            assert p_conditional_continuous(d, x_lo, anchor) == pytest.approx(u, abs=1e-10)
+            assert p_conditional(d, x_lo, anchor) == pytest.approx(u, abs=1e-10)
             x_hi = d.quantile(1.0 - u * (1.0 - w_left))
-            assert p_conditional_continuous(d, x_hi, anchor) == pytest.approx(u, abs=1e-10)
+            assert p_conditional(d, x_hi, anchor) == pytest.approx(u, abs=1e-10)
 
 
 class _MonotoneImage:
@@ -306,8 +301,8 @@ def test_conditional_invariant_under_monotone_transforms(fwd, inv):
     img = _MonotoneImage(CHISQ5, inv)
     anchor = 5.0
     for x in (0.3, 0.9, 2.0, 4.4, 5.0, 7.7, 12.0):
-        direct = p_conditional_continuous(CHISQ5, x, anchor)
-        mapped = p_conditional_continuous(img, fwd(x), fwd(anchor))
+        direct = p_conditional(CHISQ5, x, anchor)
+        mapped = p_conditional(img, fwd(x), fwd(anchor))
         assert mapped == pytest.approx(direct, abs=1e-10)
         assert p_doubled(img, fwd(x), fwd(anchor)) == pytest.approx(
             p_doubled(CHISQ5, x, anchor), abs=1e-10
@@ -329,7 +324,7 @@ def test_conditional_equals_log_distance_exceedance():
             boundary = anchor * math.exp(dist)
             via_distance = CHISQ5.sf(boundary) / (1.0 - w_left)
         assert via_distance == pytest.approx(
-            p_conditional_continuous(CHISQ5, x, anchor), abs=1e-10
+            p_conditional(CHISQ5, x, anchor), abs=1e-10
         )
 
 
@@ -339,7 +334,7 @@ def test_median_anchor_collapses_doubled_and_conditional():
         for p in (0.02, 0.2, 0.45, 0.55, 0.8, 0.98):
             x = d.quantile(p)
             assert p_doubled(d, x, m) == pytest.approx(
-                p_conditional_continuous(d, x, m), abs=1e-9
+                p_conditional(d, x, m), abs=1e-9
             )
 
 
@@ -347,7 +342,7 @@ def test_triangular_mode_conditional_equals_min_likelihood():
     tri = Triangular(1.0, 2.0)
     for i in range(1, 201):
         x = -1.0 + 3.0 * i / 201.0
-        assert p_conditional_continuous(tri, x, 0.0) == pytest.approx(
+        assert p_conditional(tri, x, 0.0) == pytest.approx(
             p_min_likelihood(tri, x), abs=1e-10
         ), x
 
@@ -373,7 +368,7 @@ def test_truncated_normal_min_likelihood_shape():
     floor = 1.0 - d.cdf(cut)
     x_near = -cut + 1e-6
     assert p_min_likelihood(d, x_near) >= floor - 1e-12
-    assert p_conditional_continuous(d, x_near, d.mean()) < 1e-5
+    assert p_conditional(d, x_near, d.mean()) < 1e-5
 
 
 def test_decreasing_density_satisfies_upper_tail_only():
@@ -388,14 +383,14 @@ def test_binomial_half_symmetric_identities():
     for n in (5, 7, 11):  # odd: the mean n/2 is unattainable
         d = Binomial(n, 0.5)
         for x in d.support().points():
-            assert p_conditional_discrete(d, x, n / 2.0) == pytest.approx(
+            assert p_conditional(d, x, n / 2.0) == pytest.approx(
                 p_min_likelihood(d, x), abs=1e-12
             )
     for n in (6, 8, 12):  # even: the mean is attainable
         d = Binomial(n, 0.5)
         for x in d.support().points():
-            pc = p_conditional_discrete(d, x, n / 2.0)
-            pcm = p_conditional_discrete(d, x, n / 2.0, modified=True)
+            pc = p_conditional(d, x, n / 2.0)
+            pcm = p_conditional(d, x, n / 2.0, modified=True)
             pp = p_min_likelihood(d, x)
             assert pcm == pytest.approx(pp, abs=1e-12)
             if x != n // 2:
@@ -413,8 +408,8 @@ def test_binomial_scaling_relations():
     for x in d.support().points():
         if x == 2:
             continue
-        pc = p_conditional_discrete(d, x, 2.0)
-        pcm = p_conditional_discrete(d, x, 2.0, modified=True)
+        pc = p_conditional(d, x, 2.0)
+        pcm = p_conditional(d, x, 2.0, modified=True)
         if pcm < 1.0:
             assert pcm == pytest.approx(scale * pc, rel=1e-12)
     # in the far upper tail no lower-support mass is small enough to join
@@ -423,8 +418,8 @@ def test_binomial_scaling_relations():
     assert scale / w.w_right == pytest.approx(2.09, abs=5e-3)
     for x in range(4, 11):
         pp = p_min_likelihood(d, x)
-        assert p_conditional_discrete(d, x, 2.0) == pytest.approx(pp / w.w_right, rel=1e-12)
-        assert p_conditional_discrete(d, x, 2.0, modified=True) == pytest.approx(
+        assert p_conditional(d, x, 2.0) == pytest.approx(pp / w.w_right, rel=1e-12)
+        assert p_conditional(d, x, 2.0, modified=True) == pytest.approx(
             pp * scale / w.w_right, rel=1e-12
         )
 
@@ -433,18 +428,18 @@ def test_binomial_unattainable_anchor_two_neighbors_reach_one():
     d = Binomial(11, 0.2)
     w = tail_weights(d, 2.2)
     # the two support points straddling the anchor both reach p-value 1
-    assert p_conditional_discrete(d, 2, 2.2) == 1.0
-    assert p_conditional_discrete(d, 3, 2.2) == 1.0
+    assert p_conditional(d, 2, 2.2) == 1.0
+    assert p_conditional(d, 3, 2.2) == 1.0
     # modified and unmodified coincide when the anchor is unattainable
     for x in d.support().points():
-        assert p_conditional_discrete(d, x, 2.2) == p_conditional_discrete(
+        assert p_conditional(d, x, 2.2) == p_conditional(
             d, x, 2.2, modified=True
         )
     # the conditional construction scales each one-sided tail by 1/weight
     assert 1.0 / w.w_left == pytest.approx(1.62, abs=5e-3)
     assert 1.0 / w.w_right == pytest.approx(2.61, abs=5e-3)
     for x in (0, 1, 2):
-        assert p_conditional_discrete(d, x, 2.2) == pytest.approx(
+        assert p_conditional(d, x, 2.2) == pytest.approx(
             min(1.0, d.cdf(x) / w.w_left), abs=1e-15
         )
 
@@ -523,8 +518,8 @@ def test_pc_equivalent_point_golden():
     assert x_eq == pytest.approx(16.4763, abs=1e-3)
     assert CHISQ5.sf(x_eq) == pytest.approx(0.0056, abs=5e-5)
     # the defining property: equal conditional p-values across the anchor
-    assert p_conditional_continuous(CHISQ5, x_eq, 5.0) == pytest.approx(
-        p_conditional_continuous(CHISQ5, 0.5, 5.0), abs=1e-10
+    assert p_conditional(CHISQ5, x_eq, 5.0) == pytest.approx(
+        p_conditional(CHISQ5, 0.5, 5.0), abs=1e-10
     )
 
 
@@ -580,7 +575,7 @@ def test_dispatcher():
             kwargs["weights"] = Weights(0.5, 0.5)
         assert 0.0 < p_value(CHISQ5, 2.0, method, **kwargs) <= 1.0
     assert p_value(CHISQ5, 2.0, "conditional", anchor_value=5.0) == pytest.approx(
-        p_conditional_continuous(CHISQ5, 2.0, 5.0)
+        p_conditional(CHISQ5, 2.0, 5.0)
     )
     # modified and plain conditional coincide for continuous families
     assert p_value(CHISQ5, 2.0, "conditional_modified", anchor_value=5.0) == p_value(

@@ -17,12 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside.specfun import (
-    Accuracy,
-    DEFAULT_ACCURACY,
     inv_reg_beta,
     inv_reg_gamma_lower,
     log_choose,
-    log_gamma,
     norm_cdf,
     norm_pdf,
     norm_quantile,
@@ -119,20 +116,7 @@ def bisect_inverse(fwd, p: float, lo: float, hi: float, iters: int = 200) -> flo
 
 
 # ---------------------------------------------------------------------------
-# log-gamma and log-choose
-
-
-def test_log_gamma_closed_forms():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(2.0) == pytest.approx(0.0, abs=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
-def test_log_gamma_domain(bad):
-    with pytest.raises(ValueError):
-        log_gamma(bad)
+# log-choose
 
 
 def test_log_choose_exact_integers():
@@ -363,23 +347,3 @@ def test_norm_quantile_known_points():
 def test_norm_cdf_rejects_non_finite():
     with pytest.raises(ValueError):
         norm_cdf(math.nan)
-
-
-# ---------------------------------------------------------------------------
-# Accuracy plumbing
-
-
-def test_accuracy_defaults_and_validation():
-    assert DEFAULT_ACCURACY.rel_tol == 1e-12
-    assert DEFAULT_ACCURACY.max_iter == 200
-    with pytest.raises(ValueError):
-        Accuracy(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        Accuracy(rel_tol=1e-6)
-    with pytest.raises(ValueError):
-        Accuracy(max_iter=49)
-    # a looser but valid accuracy still converges to its own tolerance
-    loose = Accuracy(rel_tol=1e-8, max_iter=60)
-    assert reg_gamma_lower(2.5, 0.5, loose) == pytest.approx(
-        reg_gamma_lower(2.5, 0.5), rel=1e-7
-    )

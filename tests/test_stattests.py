@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from twoside.dist import Binomial, ChiSquare, Hypergeometric
-from twoside.pvalue import p_conditional_discrete
+from twoside.pvalue import p_conditional
 from twoside.stattests import (
     DAVIS_STATISTIC_IDS,
     ContingencyTable,
@@ -108,12 +108,10 @@ class _LogImage:
 def test_variance_test_invariant_under_log_transform():
     # judging the statistic through |log(s^2/sigma0^2)| is the same test:
     # the conditional p-value of log(X) anchored at log(E) is unchanged
-    from twoside.pvalue import p_conditional_continuous
-
     for s2 in (0.1, 0.2, 0.9, 1.7):
         r = variance_test(s2, 6, 1.0)
         img = _LogImage(ChiSquare(5))
-        transformed = p_conditional_continuous(img, math.log(r.statistic), math.log(5.0))
+        transformed = p_conditional(img, math.log(r.statistic), math.log(5.0))
         assert transformed == pytest.approx(r.p_two_sided["conditional"], abs=1e-10)
 
 
@@ -392,7 +390,7 @@ def test_all_orderings_induce_the_conditional_p_value(margins, which):
         exceed = [u for u in side if stats[u] >= stats[k]]
         p_via_stat = min(1.0, math.fsum(d.pdf_or_pmf(u) for u in exceed) / tail_w)
         assert p_via_stat == pytest.approx(
-            p_conditional_discrete(d, k, anchor), abs=1e-12
+            p_conditional(d, k, anchor), abs=1e-12
         ), (which, k)
 
 
