@@ -28,6 +28,7 @@ from .pvalue import (
     DOUBLED,
     MIN_LIKELIHOOD,
     TailAnchor,
+    _modified_scale,
     conjugate_point,
     p_conditional,
     p_doubled,
@@ -328,16 +329,12 @@ def binomial_weight_table(ns: Sequence[int] = TABLE1_NS,
             d = Binomial(n, p)
             a = d.mean()
             w = tail_weights(d, a)
-            if float(a).is_integer():
-                w_mod = w.w_left / (1.0 + d.pdf_or_pmf(a))
-            else:
-                w_mod = w.w_left
             rows.append({
                 "n": n,
                 "p": p,
                 "w_left": w.w_left,
                 "weight_ratio": w.w_left / w.w_right,
-                "w_left_modified": w_mod,
+                "w_left_modified": w.w_left / _modified_scale(d, a),
             })
     return rows
 
@@ -350,6 +347,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     """
     d = Hypergeometric(row1, col1, total)
     a = d.mean()
+    w = tail_weights(d, a)
     rows = []
     for k in d.support().points():
         x = float(k)
@@ -358,7 +356,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
             "prob": d.pdf_or_pmf(x),
             "p_one_sided": min(d.cdf(x), d.sf(x)),
             "p_min_likelihood": p_min_likelihood(d, x),
-            "p_conditional": p_conditional(d, x, a),
+            "p_conditional": p_conditional(d, x, a, weights=w),
         })
     return rows
 
@@ -410,20 +408,22 @@ def _fig3(resolution: int) -> tuple[list[str], list[tuple]]:
     rows = []
     chisq = ChiSquare(5)
     anchor = chisq.mean()
+    w = tail_weights(chisq, anchor)
     for i in range(resolution + 1):
         x = 20.0 * i / resolution
         rows.append(("chisq5", x,
                      p_min_likelihood(chisq, x),
                      p_doubled(chisq, x, anchor, truncate=False),
-                     p_conditional(chisq, x, anchor)))
+                     p_conditional(chisq, x, anchor, weights=w)))
     trunc = TruncatedNormal(0.5)
     t_anchor = trunc.mean()
+    t_w = tail_weights(trunc, t_anchor)
     for i in range(resolution + 1):
         x = -0.5 + 4.5 * i / resolution
         rows.append(("truncnorm05", x,
                      p_min_likelihood(trunc, x),
                      p_doubled(trunc, x, t_anchor, truncate=False),
-                     p_conditional(trunc, x, t_anchor)))
+                     p_conditional(trunc, x, t_anchor, weights=t_w)))
     return header, rows
 
 
@@ -435,12 +435,13 @@ def _fig4(resolution: int) -> tuple[list[str], list[tuple]]:
     for panel, n in (("binom10", 10), ("binom11", 11)):
         d = Binomial(n, 0.2)
         a = d.mean()
+        w = tail_weights(d, a)
         for k in d.support().points():
             x = float(k)
             rows.append((panel, x,
                          p_min_likelihood(d, x),
-                         p_conditional(d, x, a),
-                         p_conditional(d, x, a, modified=True),
+                         p_conditional(d, x, a, weights=w),
+                         p_conditional(d, x, a, modified=True, weights=w),
                          p_doubled(d, x)))
     return header, rows
 

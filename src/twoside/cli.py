@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -218,8 +220,26 @@ def _report_payload(report: stattests.TestReport) -> dict:
     }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse that reads every negative number as a value, not as a flag.
+
+    argparse's own test only knows -1 and -1.5, so ``--x -4.4e-05`` would
+    be a usage error; subparsers inherit the class.
+    """
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # Built on the first main() call and reused by every later one:
+    # parse_args returns a fresh Namespace each time, and argparse looks up
+    # sys.stdout/sys.stderr and the terminal width only when it prints.
+    parser = _ArgumentParser(
         prog="twoside",
         description="Two-sided p-values, tests, and power/bias analysis "
                     "for asymmetric null distributions.",
@@ -322,7 +342,8 @@ def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
     p_values = {}
     for method, w in methods:
         p_values[method] = pvalue.p_value(d, args.x, method, anchor_value=anchor_value,
-                                          weights=w, truncate=truncate)
+                                          weights=w, anchor_weights=weights,
+                                          truncate=truncate)
     inputs = {
         "dist": args.dist,
         "x": args.x,

@@ -208,23 +208,25 @@ def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
 
 
 def p_conditional(d: Distribution, x: float, anchor_value: float, *,
-                  modified: bool = False) -> float:
+                  modified: bool = False, weights: Weights | None = None) -> float:
     """Tail probability divided by the anchored tail's null probability, capped at 1.
 
-    The weights are :func:`tail_weights`. With ``modified=True`` both
-    weights are divided by 1 + P(X = A) when the anchor is an attainable
-    support point; otherwise (and for every continuous family) the two
-    variants agree.
+    The weights are :func:`tail_weights`; a caller that already holds
+    ``tail_weights(d, anchor_value)`` passes them as ``weights``. With
+    ``modified=True`` both weights are divided by 1 + P(X = A) when the
+    anchor is an attainable support point; otherwise (and for every
+    continuous family) the two variants agree.
     """
-    try:
-        w = tail_weights(d, anchor_value)
-    except ValueError:
-        raise ValueError(
-            f"anchor {anchor_value!r} sits at or outside the support boundary; "
-            "the conditional p-value needs both tails to have positive probability"
-        ) from None
+    if weights is None:
+        try:
+            weights = tail_weights(d, anchor_value)
+        except ValueError:
+            raise ValueError(
+                f"anchor {anchor_value!r} sits at or outside the support boundary; "
+                "the conditional p-value needs both tails to have positive probability"
+            ) from None
     scale = _modified_scale(d, anchor_value) if modified else 1.0
-    return min(1.0, _anchored_tail(d, x, anchor_value, w, scale))
+    return min(1.0, _anchored_tail(d, x, anchor_value, weights, scale))
 
 
 def p_min_likelihood(d: Distribution, x: float, *, tie_tol: float = DEFAULT_TIE_TOL) -> float:
@@ -343,13 +345,15 @@ def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float
 def p_value(d: Distribution, x: float, method: str, *,
             anchor_value: float | None = None,
             weights: Weights | None = None,
+            anchor_weights: Weights | None = None,
             truncate: bool = True,
             tie_tol: float = DEFAULT_TIE_TOL) -> float:
     """Dispatch a two-sided p-value by method name.
 
     ``anchor_value`` must already be resolved (see :func:`resolve_anchor`);
     it is required by every method except ``min_likelihood``. The
-    ``weighted`` method additionally requires ``weights``.
+    ``weighted`` method additionally requires ``weights``. The conditional
+    methods use ``anchor_weights`` as their :func:`tail_weights` when given.
     """
     if method == MIN_LIKELIHOOD:
         return p_min_likelihood(d, x, tie_tol=tie_tol)
@@ -363,4 +367,5 @@ def p_value(d: Distribution, x: float, method: str, *,
         if weights is None:
             raise ValueError("the weighted method needs explicit weights")
         return p_weighted(d, x, anchor_value, weights)
-    return p_conditional(d, x, anchor_value, modified=method == CONDITIONAL_MODIFIED)
+    return p_conditional(d, x, anchor_value, modified=method == CONDITIONAL_MODIFIED,
+                         weights=anchor_weights)

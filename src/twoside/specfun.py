@@ -4,9 +4,12 @@ Log-gamma and the error function come straight from libm via :mod:`math`.
 The regularized incomplete gamma and beta functions are evaluated with the
 classic series / continued-fraction pairs, switching representation at the
 conventional boundaries (x ~ a+1 for the gamma, x ~ (a+1)/(a+b+2) for the
-beta) so each converges quickly everywhere in its domain. Inverses use
-Newton iteration safeguarded by a maintained bracket, falling back to
-bisection whenever a Newton step would leave it.
+beta) so each converges quickly everywhere in its domain. For large gamma
+shapes the iteration cap grows with sqrt(a), since both expansions need
+about 7.5 sqrt(a) terms near x = a, and the common prefactor is taken in
+Stirling form to avoid cancellation. Inverses use Newton iteration
+safeguarded by a maintained bracket, falling back to bisection whenever a
+Newton step would leave it.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently.
@@ -39,6 +42,9 @@ _TINY = 1e-300
 _REL_TOL = 1e-12
 _MAX_ITER = 200
 
+# shape from which the incomplete gamma prefactor uses the Stirling form
+_LARGE_SHAPE = 100.0
+
 
 def log_choose(n: int, k: int) -> float:
     """Natural log of the binomial coefficient C(n, k)."""
@@ -56,9 +62,46 @@ def _check_gamma_args(a: float, x: float) -> None:
         raise ValueError(f"argument must be finite and >= 0, got {x!r}")
 
 
+def _stirling_error(a: float) -> float:
+    # lgamma(a) - ((a - 1/2) log a - a + log(2 pi)/2): the Stirling series,
+    # accurate to double precision for a >= _LARGE_SHAPE
+    r = 1.0 / (a * a)
+    return (1.0 / 12.0 - r * (1.0 / 360.0 - r * (1.0 / 1260.0 - r / 1680.0))) / a
+
+
+def _log_ratio_deviance(a: float, x: float) -> float:
+    # a log(a/x) + x - a >= 0 without cancellation (Loader, "Fast and accurate
+    # computation of binomial probabilities", 2000): near x = a it is summed
+    # as 2a (v^3/3 + v^5/5 + ...) + (a - x) v with v = (a - x)/(a + x)
+    if abs(a - x) >= 0.1 * (a + x):
+        return a * math.log(a / x) + x - a
+    v = (a - x) / (a + x)
+    v2 = v * v
+    total = (a - x) * v
+    term = 2.0 * a * v
+    j = 3
+    while True:
+        term *= v2
+        nxt = total + term / j
+        if nxt == total:
+            return total
+        total = nxt
+        j += 2
+
+
 def _gamma_log_scale(a: float, x: float) -> float:
-    # log of x^a e^-x / Gamma(a), the prefactor shared by both expansions
-    return a * math.log(x) - x - math.lgamma(a)
+    # log of x^a e^-x / Gamma(a), the prefactor shared by both expansions.
+    # For large a the direct form cancels three terms of size a log a; the
+    # Stirling form keeps only the deviance, which is small near the mean.
+    if a < _LARGE_SHAPE:
+        return a * math.log(x) - x - math.lgamma(a)
+    return (0.5 * math.log(a / (2.0 * math.pi)) - _log_ratio_deviance(a, x)
+            - _stirling_error(a))
+
+
+def _max_iter(a: float) -> int:
+    # near x = a both gamma expansions need about 7.5 sqrt(a) terms
+    return _MAX_ITER + int(20.0 * math.sqrt(a))
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -70,7 +113,7 @@ def _gamma_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_MAX_ITER):
+    for _ in range(_max_iter(a)):
         denom += 1.0
         term *= x / denom
         total += term
@@ -101,7 +144,7 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
     h = d
     prev_err = math.inf
-    for i in range(1, _MAX_ITER + 1):
+    for i in range(1, _max_iter(a) + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b

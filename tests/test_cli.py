@@ -7,11 +7,18 @@ the library call serialized the same way (bit-for-bit round-trip).
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from twoside import analysis, pvalue, stattests
+import twoside
+from twoside import analysis, cli, pvalue, stattests
 from twoside.cli import main
 from twoside.dist import ChiSquare, FRatio
 
@@ -431,6 +438,94 @@ def test_numerical_failure_exits_four(capsys, monkeypatch):
     assert code == 4
     assert err == "error: numerical failure: series did not converge\n"
     assert out == ""
+
+
+def test_large_df_variance_test_succeeds(capsys):
+    # chi-square(2000) needs more incomplete-gamma terms than a fixed cap of
+    # 200 allows; P(X >= 2100) = 0.0586711113773181 (mpmath, 40 digits)
+    code, out, err = run(capsys, "test", "variance", "--s2", "1.05", "--n", "2001",
+                         "--sigma0sq", "1")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["statistic"] == 2100.0
+    assert results["p_right"] == 0.05867111138
+
+
+@pytest.mark.parametrize("x", ["-4.392e-05", "-2.4E-06", "-3", "-0.5", "-.5"])
+def test_negative_numbers_are_values(capsys, x):
+    code, out, err = run(capsys, "pvalue", "--dist", "truncnorm:0.3", "--x", x,
+                         "--method", "doubled")
+    assert code == 0 and err == ""
+    assert json.loads(out)["inputs"]["x"] == float(x)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _main_into_fresh_streams(*argv: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_writes_to_the_streams_of_each_call():
+    cli._build_parser()  # the parser exists before the calls under test
+    code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5")
+    assert code == 2 and out == "" and "--x" in err
+    code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5", "--x", "0.5")
+    assert code == 0 and err == "" and json.loads(out)["command"] == "pvalue"
+    code, out, err = _main_into_fresh_streams("--help")
+    assert code == 0 and err == "" and out.startswith("usage: twoside")
+
+
+def test_reused_parser_leaks_no_attributes_between_parses(tmp_path):
+    data = tmp_path / "sample.txt"
+    data.write_text("1.21\n0.37\n2.05\n", encoding="utf-8")
+    parser = cli._build_parser()
+    first = parser.parse_args(["test", "variance", "--data", str(data), "--sigma0sq", "1"])
+    second = parser.parse_args(["test", "variance", "--s2", "1", "--n", "5", "--sigma0sq", "1"])
+    assert first is not second
+    assert first.data == str(data) and first.s2 is None and first.n is None
+    assert second.data is None and (second.s2, second.n) == (1.0, 5)
+    # through main, a leaked --data would make the second call a usage error
+    assert _main_into_fresh_streams("test", "variance", "--data", str(data),
+                                    "--sigma0sq", "1")[0] == 0
+    assert _main_into_fresh_streams("test", "variance", "--s2", "1", "--n", "5",
+                                    "--sigma0sq", "1")[0] == 0
+
+
+def test_parser_is_built_once_across_main_calls():
+    cli._build_parser.cache_clear()
+    for argv in (["pvalue", "--dist", "chisq:5", "--x", "0.5"],
+                 ["pvalue", "--dist", "chisq:5"],
+                 ["test", "binomial", "--x", "3", "--n", "10", "--p0", "0.2"],
+                 ["--help"],
+                 ["pvalue", "--dist", "chisq:5", "--x", "0.5"]):
+        _main_into_fresh_streams(*argv)
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._build_parser.cache_info().hits == 4
+
+
+def test_import_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import twoside.cli\n"
+        "print(len(built))\n"
+    )
+    src = str(Path(twoside.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "0\n"
 
 
 def test_data_file_errors(capsys, tmp_path):

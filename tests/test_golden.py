@@ -8,7 +8,7 @@ status and the SHA-256 of the stdout each produced when recorded:
 - ``exact_tests_seed1``: 100 binomial/Fisher tests and discrete p-values
   with supports from 10 to 50,000 points;
 - ``continuous_tests_seed1``: 100 variance/F tests and chi-square, F and
-  truncated-normal p-values, including large-df requests that exit 4.
+  truncated-normal p-values, with chi-square df up to 5000.
 
 Any change to a printed digit, to the JSON layout or to an exit status
 shows up here. A deliberate change of output is re-recorded in the data

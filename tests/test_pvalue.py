@@ -455,6 +455,19 @@ def test_tail_weights():
     assert wu.w_left + wu.w_right == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d, anchor", [(CHISQ5, 5.0), (Binomial(10, 0.2), 2.0),
+                                       (Binomial(11, 0.2), 2.2)])
+@pytest.mark.parametrize("method", ["conditional", "conditional_modified"])
+def test_passed_anchor_weights_give_the_same_floats(d, anchor, method):
+    w = tail_weights(d, anchor)
+    for x in (0.0, 1.0, 2.0, 3.0, 5.0, 7.5):
+        assert (p_value(d, x, method, anchor_value=anchor, anchor_weights=w)
+                == p_value(d, x, method, anchor_value=anchor))
+        assert (p_conditional(d, x, anchor, modified=method == "conditional_modified",
+                              weights=w)
+                == p_conditional(d, x, anchor, modified=method == "conditional_modified"))
+
+
 # ---------------------------------------------------------------------------
 # conjugate and equivalent points
 

@@ -156,6 +156,66 @@ def test_reg_gamma_edges_and_golden():
     assert reg_gamma_lower(2.5, 0.25) == pytest.approx(0.0079, abs=5e-5)
 
 
+# (a, x, P(a, x), Q(a, x)) for large shapes, frozen from mpmath at 40 digits
+# with the smaller of P and Q computed directly: x = a + z sqrt(a) for
+# z in (-8, -5, -1, 0, 1, 5, 8), then two far-tail points per shape
+LARGE_SHAPE_GRID = [
+    (100.0, 20.0, 3.488878669689653e-37, 1.0),
+    (100.0, 50.0, 3.200065324585125e-10, 0.9999999996799934),
+    (100.0, 90.0, 0.15822098918643016, 0.8417790108135699),
+    (100.0, 100.0, 0.5132987982791487, 0.48670120172085135),
+    (100.0, 110.0, 0.8417213299399129, 0.15827867006008708),
+    (100.0, 150.0, 0.9999940754596646, 5.924540335483916e-06),
+    (100.0, 180.0, 0.999999999970517, 2.948294557648285e-11),
+    (100.0, 25.0, 1.229388480587474e-29, 1.0),
+    (100.0, 300.0, 1.0, 1.4110215102111522e-41),
+    (650.0, 446.0392194562886, 9.355944433883231e-20, 1.0),
+    (650.0, 522.5245121601804, 4.2318925362461554e-08, 0.9999999576810746),
+    (650.0, 624.504902432036, 0.15859142770659285, 0.8414085722934072),
+    (650.0, 650.0, 0.5052159789725436, 0.49478402102745644),
+    (650.0, 675.495097567964, 0.8414051082316497, 0.15859489176835032),
+    (650.0, 777.4754878398196, 0.9999988147596105, 1.1852403894742973e-06),
+    (650.0, 853.9607805437114, 0.9999999999998583, 1.4163065929638896e-13),
+    (650.0, 325.0, 9.339313773158597e-57, 1.0),
+    (650.0, 1300.0, 1.0, 3.72523337616875e-89),
+    (2500.0, 2100.0, 1.2832228437205802e-17, 1.0),
+    (2500.0, 2250.0, 1.1679887350324446e-07, 0.9999998832011265),
+    (2500.0, 2450.0, 0.15863888966777126, 0.8413611103322287),
+    (2500.0, 2500.0, 0.5026596211076548, 0.4973403788923451),
+    (2500.0, 2550.0, 0.841360651380596, 0.15863934861940396),
+    (2500.0, 2750.0, 0.9999993796980055, 6.203019945328596e-07),
+    (2500.0, 2900.0, 0.9999999999999869, 1.3104657313170686e-14),
+    (2500.0, 1250.0, 3.131283085795708e-212, 1.0),
+    (2500.0, 3750.0, 1.0, 3.64723627103496e-105),
+    (100000.0, 97470.1778718653, 3.5899904413646246e-16, 0.9999999999999997),
+    (100000.0, 98418.8611699158, 2.510055744605881e-07, 0.9999997489944256),
+    (100000.0, 99683.77223398317, 0.1586548497379081, 0.8413451502620919),
+    (100000.0, 100000.0, 0.5004205221103651, 0.4995794778896348),
+    (100000.0, 100316.22776601683, 0.841345148448325, 0.15865485155167505),
+    (100000.0, 101581.1388300842, 0.999999673662105, 3.2633789508069305e-07),
+    (100000.0, 102529.8221281347, 0.9999999999999989, 1.0561434323529743e-15),
+    (100000.0, 90513.16701949487, 2.391454113226473e-211, 1.0),
+    (100000.0, 109486.83298050513, 1.0, 1.7115947884506182e-186),
+    (1000000.0, 992000.0, 5.24012281543083e-16, 0.9999999999999994),
+    (1000000.0, 995000.0, 2.749580359270071e-07, 0.9999997250419641),
+    (1000000.0, 999000.0, 0.15865521357430365, 0.8413447864256963),
+    (1000000.0, 1000000.0, 0.5001329807608725, 0.4998670192391274),
+    (1000000.0, 1001000.0, 0.8413447863683403, 0.15865521363165971),
+    (1000000.0, 1005000.0, 0.999999701250986, 2.987490140114635e-07),
+    (1000000.0, 1008000.0, 0.9999999999999992, 7.370278579605256e-16),
+    (1000000.0, 970000.0, 4.920908778591162e-202, 1.0),
+    (1000000.0, 1030000.0, 1.0, 3.262430144876734e-194),
+]
+
+
+@pytest.mark.parametrize("a, x, p_ref, q_ref", LARGE_SHAPE_GRID)
+def test_reg_gamma_large_shape_vs_mpmath(a, x, p_ref, q_ref):
+    # before the iteration cap scaled with sqrt(a), every point from
+    # a = 2500 on raised ArithmeticError
+    assert reg_gamma_lower(a, x) == pytest.approx(p_ref, rel=1e-12, abs=0.0)
+    assert reg_gamma_upper(a, x) == pytest.approx(q_ref, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("args", [(-1.0, 1.0), (0.0, 1.0), (2.5, -0.5), (math.nan, 1.0), (2.5, math.nan)])
 def test_reg_gamma_domain(args):
     with pytest.raises(ValueError):
