@@ -1,6 +1,6 @@
 """Golden command-line corpus: exit status and stdout digest per argv.
 
-``golden_cli.json`` holds three frozen groups of argv lists with the exit
+``golden_cli.json`` holds four frozen groups of argv lists with the exit
 status and the SHA-256 of the stdout each produced when recorded:
 
 - ``paper_artifacts``: every paper table, figure and README command, plus
@@ -8,11 +8,16 @@ status and the SHA-256 of the stdout each produced when recorded:
 - ``exact_tests_seed1``: 100 binomial/Fisher tests and discrete p-values
   with supports from 10 to 50,000 points;
 - ``continuous_tests_seed1``: 100 variance/F tests and chi-square, F and
-  truncated-normal p-values, with chi-square df up to 5000.
+  truncated-normal p-values, with chi-square df up to 5000;
+- ``grid_families``: ``analyze bias`` with each method on the uniform,
+  triangular and truncated-normal laws, whose minimum power is still found
+  on a grid (several of them exit 3 with a domain error, recorded as such).
 
 Any change to a printed digit, to the JSON layout or to an exit status
 shows up here. A deliberate change of output is re-recorded in the data
-file, one argv at a time.
+file, one argv at a time. Each mismatch reports the argv with the recorded
+and the new exit status and SHA-256, so a re-recorded entry can be matched
+against the change that explains it.
 """
 
 from __future__ import annotations
@@ -44,6 +49,9 @@ def test_golden_outputs(group, tmp_path, monkeypatch):
             status = main(list(record["argv"]))
         digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
         if (status, digest) != (record["status"], record["sha256"]):
-            mismatches.append((" ".join(record["argv"]), record["status"], status))
-    assert mismatches == []
+            mismatches.append(
+                f"{' '.join(record['argv'])}: status {record['status']} -> {status}, "
+                f"sha256 {record['sha256']} -> {digest}"
+            )
+    assert not mismatches, f"{len(mismatches)} golden mismatch(es):\n" + "\n".join(mismatches)
 
