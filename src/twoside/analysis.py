@@ -13,6 +13,13 @@ of it for the binomial and hypergeometric test families.
 Tail-moment integrals use closed forms: for chi-square,
 integral_0^t x dF_k(x) = k F_{k+2}(t); the variance-ratio family has the
 analogous incomplete-beta identity.
+
+The bias minimum over rho is also in closed form for both variance
+families: the power F(rho*c_L) + S(rho*c_R) is stationary where
+c_L f(rho*c_L) = c_R f(rho*c_R), which for chi-square and F has exactly one
+root (see :func:`bias`). The other continuous families the command line
+accepts (uniform, triangular, truncated normal) keep a 400-point log grid
+over rho in [e^-4, e^4] with golden-section refinement.
 """
 
 from __future__ import annotations
@@ -68,7 +75,8 @@ TABLE1_PS = (0.1, 0.2)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
-# bias minimization: coarse log-grid over rho, then golden-section refinement
+# bias minimization range over rho; families without a closed-form argmin
+# search it on a coarse log-grid, then refine by golden section
 _RHO_LOG_LO = -4.0
 _RHO_LOG_HI = 4.0
 _RHO_GRID_POINTS = 400
@@ -103,21 +111,22 @@ class BiasReport:
     argmin_rho: float
 
 
-def critical_region_from_weights(d: Distribution, alpha: float, w_left: float) -> CriticalRegion:
-    """The level-alpha region with probability w_left*alpha in the left tail."""
+def _region_cuts(d: Distribution, alpha: float, w_left: float) -> tuple[float, float]:
+    """(c_left, c_right) of the level-alpha region with w_left*alpha in the left tail."""
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if not (0.0 < w_left < 1.0):
         raise ValueError(f"w_left must lie in (0, 1), got {w_left!r}")
     if d.is_discrete:
         raise ValueError("critical regions at exact level alpha need a continuous distribution")
-    return CriticalRegion(
-        c_left=d.quantile(w_left * alpha),
-        c_right=d.quantile(1.0 - (1.0 - w_left) * alpha),
-        alpha=alpha,
-        w_left=w_left,
-        anchor=d.quantile(w_left),
-    )
+    return d.quantile(w_left * alpha), d.quantile(1.0 - (1.0 - w_left) * alpha)
+
+
+def critical_region_from_weights(d: Distribution, alpha: float, w_left: float) -> CriticalRegion:
+    """The level-alpha region with probability w_left*alpha in the left tail."""
+    c_left, c_right = _region_cuts(d, alpha, w_left)
+    return CriticalRegion(c_left=c_left, c_right=c_right, alpha=alpha, w_left=w_left,
+                          anchor=d.quantile(w_left))
 
 
 def variance_power(d: Distribution, c_left: float, c_right: float, rho: float) -> float:
@@ -176,7 +185,7 @@ def power_derivative_at_null(d: Distribution, alpha: float, w_left: float) -> fl
     at w_left = 1/2 exactly, recovering the classical result that the
     equal-tails variance-ratio test is unbiased for equal sample sizes.
     """
-    region = critical_region_from_weights(d, alpha, w_left)
+    c_left, c_right = _region_cuts(d, alpha, w_left)
     if isinstance(d, FRatio):
         a = d.d1 / 2.0
         b = d.d2 / 2.0
@@ -186,10 +195,10 @@ def power_derivative_at_null(d: Distribution, alpha: float, w_left: float) -> fl
             y = d.d1 * c / (d.d1 * c + d.d2)
             return math.exp(a * math.log(y) + b * math.log1p(-y) - log_beta)
 
-        return cut_term(region.c_right) - cut_term(region.c_left)
+        return cut_term(c_right) - cut_term(c_left)
     mean = d.mean()
-    left = lower_partial_mean(d, region.c_left)
-    right = mean - lower_partial_mean(d, region.c_right)
+    left = lower_partial_mean(d, c_left)
+    right = mean - lower_partial_mean(d, c_right)
     return left + right - alpha * mean
 
 
@@ -266,8 +275,8 @@ def _region_for_method(d: Distribution, method: str, alpha: float,
                        anchor: TailAnchor) -> tuple[float, float]:
     """(c_left, c_right) of the level-alpha region for a method."""
     if method == DOUBLED:
-        region = critical_region_from_weights(d, alpha, 0.5)
-    elif method == CONDITIONAL:
+        return _region_cuts(d, alpha, 0.5)
+    if method == CONDITIONAL:
         try:
             a_value = resolve_anchor(d, anchor)
         except ValueError as exc:
@@ -276,41 +285,73 @@ def _region_for_method(d: Distribution, method: str, alpha: float,
             warnings.warn(f"mean anchor unavailable ({exc}); falling back to the median",
                           stacklevel=3)
             a_value = d.median()
-        region = critical_region_from_weights(d, alpha, d.cdf(a_value))
-    elif method == UMPU:
+        return _region_cuts(d, alpha, d.cdf(a_value))
+    if method == UMPU:
         _, region = umpu_weights(d, alpha)
-    elif method == MIN_LIKELIHOOD:
+        return region.c_left, region.c_right
+    if method == MIN_LIKELIHOOD:
         return minlik_region(d, alpha)
-    else:
-        raise ValueError(f"unknown bias method {method!r}; expected one of {BIAS_METHODS}")
-    return region.c_left, region.c_right
+    raise ValueError(f"unknown bias method {method!r}; expected one of {BIAS_METHODS}")
+
+
+def _stationary_rho(d: ChiSquare | FRatio, c_left: float, c_right: float) -> float:
+    """The one root in rho of c_L f(rho*c_L) = c_R f(rho*c_R); +inf when c_L = 0."""
+    if c_left <= 0.0:
+        return math.inf
+    if isinstance(d, ChiSquare):
+        return d.df * math.log(c_right / c_left) / (c_right - c_left)
+    a = d.d1 / 2.0
+    b = d.d2 / 2.0
+    t = (a / (a + b)) * math.log(c_left / c_right)
+    return d.d2 * -math.expm1(t) / (d.d1 * (math.exp(t) * c_right - c_left))
 
 
 def bias(d: Distribution, method: str, alpha: float, *,
          anchor: TailAnchor = "mean") -> BiasReport:
-    """Minimum of power(rho) - alpha over scale alternatives rho.
+    """Minimum of power(rho) - alpha over scale alternatives rho in [e^-4, e^4].
 
-    The minimum is located on a 400-point logarithmic grid over
-    rho in [e^-4, e^4] and refined by golden-section search; the grid
-    guards against the two-sided power's double dip around the null.
+    The power F(rho*c_L) + S(rho*c_R) has derivative
+    c_L f(rho*c_L) - c_R f(rho*c_R). For the two variance families its sign
+    is that of g(rho) = log(c_L f(rho*c_L)) - log(c_R f(rho*c_R)), and g has
+    exactly one root, so that root is the minimum:
+
+    - chi-square(k): g(rho) = (k/2) log(c_L/c_R) + rho (c_R - c_L)/2 is
+      linear and increasing, with root rho* = k log(c_R/c_L) / (c_R - c_L);
+    - F(d1, d2), with a = d1/2, b = d2/2: g increases monotonically from
+      a log(c_L/c_R) < 0 at rho -> 0 to -b log(c_L/c_R) > 0 at rho -> inf;
+      with t = (a/(a+b)) log(c_L/c_R) and r = e^t the root is
+      rho* = d2 (1 - r) / (d1 (r c_R - c_L)).
+
+    rho* is clamped to [e^-4, e^4]. When c_L sits on the support's lower
+    end (minimum likelihood with a mode at 0) the power decreases
+    throughout, rho* is +inf and the clamp returns e^4.
+
+    Other continuous families keep the search: a 400-point logarithmic grid
+    over the same range, refined by golden-section search; the grid guards
+    against a two-sided power with a double dip around the null.
     """
     c_left, c_right = _region_for_method(d, method, alpha, anchor)
 
     def power(rho: float) -> float:
         return variance_power(d, c_left, c_right, rho)
 
-    n = _RHO_GRID_POINTS
-    logs = [_RHO_LOG_LO + (_RHO_LOG_HI - _RHO_LOG_LO) * i / (n - 1) for i in range(n)]
-    rhos = [math.exp(t) for t in logs]
-    powers = [power(r) for r in rhos]
-    i0 = min(range(n), key=powers.__getitem__)
-    lo = rhos[max(0, i0 - 1)]
-    hi = rhos[min(n - 1, i0 + 1)]
-    argmin_rho = _golden_section_min(power, lo, hi, _RHO_REFINE_TOL)
-    min_power = power(argmin_rho)
-    # the refined point can only improve on the grid candidate
-    if powers[i0] < min_power:
-        argmin_rho, min_power = rhos[i0], powers[i0]
+    if isinstance(d, (ChiSquare, FRatio)):
+        rho_star = _stationary_rho(d, c_left, c_right)
+        argmin_rho = min(max(rho_star, math.exp(_RHO_LOG_LO)), math.exp(_RHO_LOG_HI))
+        min_power = power(argmin_rho)
+    else:
+        n = _RHO_GRID_POINTS
+        logs = [_RHO_LOG_LO + (_RHO_LOG_HI - _RHO_LOG_LO) * i / (n - 1) for i in range(n)]
+        rhos = [math.exp(t) for t in logs]
+        powers = [power(r) for r in rhos]
+        i0 = min(range(n), key=powers.__getitem__)
+        lo = rhos[max(0, i0 - 1)]
+        hi = rhos[min(n - 1, i0 + 1)]
+        argmin_rho = _golden_section_min(power, lo, hi, _RHO_REFINE_TOL)
+        min_power = power(argmin_rho)
+        # the refined point can only improve on the grid candidate
+        if powers[i0] < min_power:
+            argmin_rho, min_power = rhos[i0], powers[i0]
     return BiasReport(method=method, level=alpha, min_power=min_power,
                       bias=min_power - alpha, argmin_rho=argmin_rho)
 

@@ -405,6 +405,55 @@ def test_bias_mean_anchor_fallback_warns():
         bias(CHISQ5, "weighted", ALPHA)
 
 
+# the laws of the umpu/bias sweep: chi-square(1..30) and four variance ratios
+SWEEP_LAWS = [ChiSquare(k) for k in range(1, 31)] + [
+    FRatio(5, 10), FRatio(10, 20), FRatio(20, 40), FRatio(50, 80)]
+# the log grid the closed form replaces, used here as a reference
+REFERENCE_RHOS = [math.exp(-4.0 + 8.0 * i / 399) for i in range(400)]
+
+
+@pytest.mark.parametrize("k", range(3, 31))
+def test_bias_min_likelihood_chi_square_argmin_is_k_over_k_minus_2(k):
+    # f(c_L) = f(c_R) gives log(c_R/c_L)/(c_R - c_L) = 1/(k - 2), so rho* = k/(k - 2)
+    report = bias(ChiSquare(k), "min_likelihood", ALPHA)
+    assert report.argmin_rho == pytest.approx(k / (k - 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("d", SWEEP_LAWS, ids=str)
+def test_bias_umpu_argmin_is_the_null(d):
+    # the UMPU region has zero power slope at rho = 1, the one stationary point
+    assert bias(d, "umpu", ALPHA).argmin_rho == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("method", ["doubled", "conditional"])
+@pytest.mark.parametrize("d", SWEEP_LAWS, ids=str)
+def test_bias_closed_form_is_the_stationary_minimum(d, method):
+    w_left = 0.5 if method == "doubled" else d.cdf(d.mean())
+    region = critical_region_from_weights(d, ALPHA, w_left)
+    c_left, c_right = region.c_left, region.c_right
+    report = bias(d, method, ALPHA)
+    rho = report.argmin_rho
+    left = c_left * d.pdf_or_pmf(rho * c_left)
+    right = c_right * d.pdf_or_pmf(rho * c_right)
+    assert left == pytest.approx(right, rel=1e-10)
+    assert report.min_power == variance_power(d, c_left, c_right, rho)
+    for grid_rho in REFERENCE_RHOS:
+        assert report.min_power <= variance_power(d, c_left, c_right, grid_rho)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bias_boundary_mode_clamps_to_the_range_end(k):
+    # c_L = 0: the power falls for every rho, so the minimum is the range end
+    assert bias(ChiSquare(k), "min_likelihood", ALPHA).argmin_rho == math.exp(4.0)
+
+
+def test_bias_closed_form_against_frozen_mpmath():
+    # mpmath at 40 digits: chi-square(45) cuts at the mean anchor, closed-form rho*
+    report = bias(ChiSquare(45), "conditional", ALPHA)
+    assert report.argmin_rho == pytest.approx(1.00979178613812, rel=1e-12)
+    assert report.bias == pytest.approx(-0.000242955368451098493, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # binomial weight table
 
