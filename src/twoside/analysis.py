@@ -226,8 +226,10 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
 
     Solves f(l) = f(r) with F(l) + 1 - F(r) = alpha, i.e. the
     highest-density region of probability 1 - alpha; rejection means
-    p_min_likelihood below alpha. When the mode sits on the lower support
-    boundary the region degenerates to a single right-hand tail cut.
+    p_min_likelihood below alpha. When the density at the lower support
+    bound is at least the density at the upper alpha cut (a mode on that
+    bound, or a truncation above the cut's level), the region degenerates
+    to a single right-hand tail cut.
     """
     if d.is_discrete:
         raise ValueError("the minimum-likelihood region is defined for continuous densities")
@@ -235,8 +237,11 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     sup = d.support()
     mode = d.mode_set()[0]
-    if mode == sup.lo:
-        return sup.lo, d.quantile(1.0 - alpha)
+    f_lo = d.pdf_or_pmf(sup.lo)
+    if f_lo > 0.0:  # a density that is 0 there stays two-sided
+        upper = d.quantile(1.0 - alpha)
+        if f_lo >= d.pdf_or_pmf(upper):
+            return sup.lo, upper
 
     def tail_mass(left: float) -> float:
         partner = conjugate_point(d, left)

@@ -25,6 +25,24 @@ whole support (for large supports, about 38.6 standard deviations on each
 side, where exp(-z**2 / 2) underflows). Support points outside the
 window have mass 0. The tables of the 32 most recently used distributions
 are cached.
+
+The build is cheap but exact: it gives the floats of the plain recipe (a
+ratio call per step, ``math.fsum`` of the weights, every running sum
+clamped with ``min(v, 1.0)``):
+
+- ``_ratios(ks)`` yields the ratios lazily, so a walk computes only those
+  it reads, each from the same expression. ``w * r if r < 1.0 else w``
+  equals ``w * min(1.0, r)`` because ``w * 1.0 == w``.
+- ``_exact_sum`` returns ``math.fsum`` of nonnegative floats. The values
+  below ``cut``, a power of two near 2**-100 times the largest, sum to
+  less than ``bound = count * cut``, which is exact. fsum rounds
+  correctly and rounding is monotone, so when the other values (the core)
+  and the core plus ``bound`` round to the same float, the full sum, which
+  lies between them, rounds to it too. Otherwise it falls back to fsum over
+  all values. The core spans about 100 binades, so fsum keeps few partials
+  for it, where the full window reaches the subnormals.
+- Running sums of nonnegative masses never fall (rounding is monotone),
+  so the sums above 1 form a suffix, set to 1.0 after one bisection.
 """
 
 from __future__ import annotations
@@ -32,6 +50,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -373,50 +392,70 @@ class _Tables(NamedTuple):
     sf: list[float]   # sf[i] = P(X >= first + i), inclusive
 
 
+def _exact_sum(values: list[float]) -> float:
+    """``math.fsum(values)`` for nonnegative finite floats, mostly cheaper
+    (see the module docstring for why it is exact)."""
+    cut = math.ldexp(1.0, math.frexp(max(values))[1] - 100)
+    core = [v for v in values if v >= cut]
+    total = math.fsum(core)
+    if len(core) == len(values):
+        return total
+    core.append((len(values) - len(core)) * cut)
+    return total if math.fsum(core) == total else math.fsum(values)
+
+
+def _clamped_sums(masses: Iterable[float]) -> list[float]:
+    """Running sums of nonnegative masses, those past 1 (a suffix) set to 1.0."""
+    sums = list(accumulate(masses))
+    cut = bisect_right(sums, 1.0)
+    sums[cut:] = [1.0] * (len(sums) - cut)
+    return sums
+
+
 @lru_cache(maxsize=32)
 def _discrete_tables(d: "_Discrete") -> _Tables:
     lo, hi = d._bounds()
-    ratio = d._ratio
     # the ratio falls strictly (the families are log-concave), so the
     # mode is the first point whose ratio is at most 1
-    mode = lo + bisect_left(range(lo, hi), True, key=lambda k: ratio(k) <= 1.0)
-    # weights relative to 1 at the mode; clamping the ratios keeps the
+    mode = lo + bisect_left(range(lo, hi), True, key=lambda k: next(d._ratios((k,))) <= 1.0)
+    # weights relative to 1 at the mode; clamping the ratios to 1 keeps the
     # array unimodal under rounding. A walk stops where the weight
     # underflows to 0 or stops shrinking (subnormals round back to
     # themselves); only the first step may tie with the mode.
     right: list[float] = []
     w = 1.0
-    for k in range(mode, hi):
-        nxt = w * min(1.0, ratio(k))
+    for r in d._ratios(range(mode, hi)):
+        nxt = w * r if r < 1.0 else w
         if nxt == 0.0 or (nxt == w and right):
             break
         right.append(nxt)
         w = nxt
     left: list[float] = []
     w = 1.0
-    for k in range(mode - 1, lo - 1, -1):
-        nxt = w / max(1.0, ratio(k))
+    for r in d._ratios(range(mode - 1, lo - 1, -1)):
+        nxt = w / r if r > 1.0 else w
         if nxt == 0.0 or (nxt == w and left):
             break
         left.append(nxt)
         w = nxt
     left.reverse()
     raw = left + [1.0] + right
-    total = math.fsum(raw)
+    total = _exact_sum(raw)
     pmf = [v / total for v in raw]
     # running sums may pass 1 by rounding at their far end
-    cdf = [min(v, 1.0) for v in accumulate(pmf)]
-    sf = [min(v, 1.0) for v in accumulate(reversed(pmf))]
+    sf = _clamped_sums(reversed(pmf))
     sf.reverse()
-    return _Tables(mode - len(left), len(left), pmf, cdf, sf)
+    return _Tables(mode - len(left), len(left), pmf, _clamped_sums(pmf), sf)
 
 
 class _Discrete(Distribution):
     """Base for integer-supported families.
 
-    A family gives its support bounds and the mass ratio
-    ``_ratio(k) = pmf(k + 1) / pmf(k)``; the tables are built from the
-    ratio over a window around the mode and cached.
+    A family gives its support bounds and ``_ratios(ks)``, a lazy iterator
+    of the mass ratios ``pmf(k + 1) / pmf(k)`` at the points ``ks``; the
+    tables are built from them over a window around the mode, with the
+    total from ``_exact_sum``, and cached. The module docstring says why
+    the build is exact.
     """
 
     is_discrete = True
@@ -424,7 +463,7 @@ class _Discrete(Distribution):
     def _bounds(self) -> tuple[int, int]:
         raise NotImplementedError
 
-    def _ratio(self, k: int) -> float:
+    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
         raise NotImplementedError
 
     def _tables(self) -> _Tables:
@@ -487,9 +526,12 @@ class _Discrete(Distribution):
         return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
 
 
-def _hyper_ratio(row1: int, col1: int, total: int, k: int) -> float:
-    """pmf(k + 1) / pmf(k) of the central hypergeometric, rounded once."""
-    return (row1 - k) * (col1 - k) / ((k + 1) * (total - row1 - col1 + k + 1))
+def _hyper_ratios(row1: int, col1: int, total: int, odds: float,
+                  ks: Iterable[int]) -> Iterator[float]:
+    """pmf(k + 1) / pmf(k) of Fisher's noncentral hypergeometric: the
+    central ratio, rounded once, times ``odds`` (exact for odds 1)."""
+    rest = total - row1 - col1
+    return ((row1 - k) * (col1 - k) / ((k + 1) * (rest + k + 1)) * odds for k in ks)
 
 
 @dataclass(frozen=True)
@@ -508,8 +550,10 @@ class Binomial(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return 0, self.n
 
-    def _ratio(self, k: int) -> float:
-        return (self.n - k) * self.p / ((k + 1) * (1.0 - self.p))
+    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
+        n, p = self.n, self.p
+        q = 1.0 - p
+        return ((n - k) * p / ((k + 1) * q) for k in ks)
 
     def mean(self) -> float:
         return self.n * self.p
@@ -535,8 +579,8 @@ class Hypergeometric(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
 
-    def _ratio(self, k: int) -> float:
-        return _hyper_ratio(self.row1, self.col1, self.total, k)
+    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
+        return _hyper_ratios(self.row1, self.col1, self.total, 1.0, ks)
 
     def mean(self) -> float:
         return self.row1 * self.col1 / self.total
@@ -562,10 +606,10 @@ class NoncentralHypergeometric(_Discrete):
     def _bounds(self) -> tuple[int, int]:
         return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
 
-    def _ratio(self, k: int) -> float:
+    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
         # the mass is C(row1, k) C(total-row1, col1-k) odds^k, normalized
-        return _hyper_ratio(self.row1, self.col1, self.total, k) * self.odds
+        return _hyper_ratios(self.row1, self.col1, self.total, self.odds, ks)
 
     def mean(self) -> float:
         t = self._tables()
-        return math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))
+        return _exact_sum([(t.first + i) * v for i, v in enumerate(t.pmf)])

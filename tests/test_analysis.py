@@ -331,6 +331,22 @@ def test_minlik_region_boundary_mode():
         assert right == pytest.approx(d.quantile(1.0 - ALPHA), rel=1e-12)
 
 
+def test_minlik_region_truncation_above_the_cut_level():
+    # the density at the truncation point -0.5 exceeds the density at the
+    # upper 5% cut, so the highest-density region is one-sided; a deeper
+    # truncation keeps both cuts
+    d = TruncatedNormal(0.5)
+    left, right = minlik_region(d, ALPHA)
+    assert left == -0.5
+    assert d.pdf_or_pmf(left) > d.pdf_or_pmf(right)
+    assert d.cdf(left) + d.sf(right) == pytest.approx(ALPHA, rel=1e-12)
+    deep = TruncatedNormal(2.0)
+    left, right = minlik_region(deep, ALPHA)
+    assert -2.0 < left < 0.0 < right
+    assert deep.pdf_or_pmf(left) == pytest.approx(deep.pdf_or_pmf(right), rel=1e-8)
+    assert deep.cdf(left) + deep.sf(right) == pytest.approx(ALPHA, abs=1e-10)
+
+
 def test_minlik_region_validation():
     with pytest.raises(ValueError, match="continuous"):
         minlik_region(Binomial(10, 0.2), ALPHA)

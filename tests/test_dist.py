@@ -10,7 +10,10 @@ binomial, and Fisher-table examples this package reproduces.
 from __future__ import annotations
 
 import math
+import random
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +28,8 @@ from twoside.dist import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    _discrete_tables,
+    _exact_sum,
 )
 
 # ---------------------------------------------------------------------------
@@ -480,3 +485,146 @@ def test_median_definition():
         assert d.cdf(m - 1) < 0.5
     c = ChiSquare(5)
     assert c.cdf(c.median()) == pytest.approx(0.5, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# table builder against the straightforward one: the same floats
+
+
+def _reference_ratio(d):
+    """pmf(k + 1) / pmf(k) as a per-point call, one expression per family."""
+    if isinstance(d, Binomial):
+        return lambda k: (d.n - k) * d.p / ((k + 1) * (1.0 - d.p))
+
+    def hyper(k):
+        return (d.row1 - k) * (d.col1 - k) / ((k + 1) * (d.total - d.row1 - d.col1 + k + 1))
+
+    if isinstance(d, NoncentralHypergeometric):
+        return lambda k: hyper(k) * d.odds
+    return hyper
+
+
+def _reference_tables(d):
+    """(first, mode, pmf, cdf, sf) by a ratio call per step, fsum and min clamps."""
+    lo, hi = d._bounds()
+    ratio = _reference_ratio(d)
+    mode = lo + bisect_left(range(lo, hi), True, key=lambda k: ratio(k) <= 1.0)
+    right = []
+    w = 1.0
+    for k in range(mode, hi):
+        nxt = w * min(1.0, ratio(k))
+        if nxt == 0.0 or (nxt == w and right):
+            break
+        right.append(nxt)
+        w = nxt
+    left = []
+    w = 1.0
+    for k in range(mode - 1, lo - 1, -1):
+        nxt = w / max(1.0, ratio(k))
+        if nxt == 0.0 or (nxt == w and left):
+            break
+        left.append(nxt)
+        w = nxt
+    left.reverse()
+    raw = left + [1.0] + right
+    total = math.fsum(raw)
+    pmf = [v / total for v in raw]
+    cdf = [min(v, 1.0) for v in accumulate(pmf)]
+    sf = [min(v, 1.0) for v in accumulate(reversed(pmf))]
+    sf.reverse()
+    return (mode - len(left), len(left), pmf, cdf, sf)
+
+
+def _seeded_laws(count: int, seed: int = 20081):
+    """Binomial, central and noncentral hypergeometric laws with supports
+    log-uniform in 2..5e4, p near 0, near 1 and inside, odds in 1e-2..1e2."""
+    rng = random.Random(seed)
+    laws = []
+    for i in range(count):
+        size = int(math.exp(rng.uniform(math.log(2), math.log(5e4))))
+        kind = i % 3
+        if kind == 0:
+            tiny = 10.0 ** rng.uniform(-9, -6)
+            p = (tiny, 1.0 - tiny, rng.uniform(0.001, 0.999))[i // 3 % 3]
+            laws.append(Binomial(size - 1, p))
+            continue
+        row1 = size - 1
+        col1 = rng.randint(row1, 3 * row1 + 1)
+        total = rng.randint(col1, row1 + col1 + 3 * row1 + 1)
+        if rng.random() < 0.5:
+            row1, col1 = col1, row1
+        if kind == 1:
+            laws.append(Hypergeometric(row1, col1, total))
+        else:
+            laws.append(NoncentralHypergeometric(row1, col1, total, 10.0 ** rng.uniform(-2, 2)))
+    return laws
+
+
+def _assert_same_tables(d):
+    assert tuple(_discrete_tables.__wrapped__(d)) == _reference_tables(d)
+
+
+def test_tables_match_reference_builder_on_seeded_laws():
+    laws = _seeded_laws(330)
+    spans = [int(d.support().hi - d.support().lo) + 1 for d in laws]
+    assert min(spans) <= 3 and max(spans) >= 20_000
+    for d in laws:
+        _assert_same_tables(d)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Hypergeometric(0, 5, 10),      # a single support point
+        Binomial(10, 1e-6),            # mode on the lower bound
+        Binomial(10, 1 - 1e-6),        # mode on the upper bound
+        Binomial(3, 0.5),              # two tied modes
+        NoncentralHypergeometric(30, 40, 100, 1e-6),
+        Binomial(20_000_000, 0.5),     # a window inside a huge support
+    ],
+    ids=str,
+)
+def test_tables_match_reference_builder_at_edges(d):
+    _assert_same_tables(d)
+
+
+def test_noncentral_mean_is_the_fsum_of_the_table():
+    for d in _seeded_laws(60, seed=7)[2::3]:
+        t = d._tables()
+        assert d.mean() == math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))
+
+
+def test_exact_sum_falls_back_when_the_tail_decides_the_rounding():
+    values = [1.0, 2.0**-53, 2.0**-200]
+    # the core alone sits on a tie that rounds to 1; the tiny value breaks it
+    assert math.fsum(values[:2]) == 1.0
+    assert _exact_sum(values) == math.fsum(values) == 1.0 + 2.0**-52
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0],
+        [0.0, 0.0, 0.0],
+        [5e-324, 1e-320, 2.2e-308, 3e-315],          # all subnormal
+        [0.0, 5e-324, 4e-323],                       # subnormal maximum
+        [2.0**-960, 2.0**-1060, 3 * 2.0**-1070, 5e-324],  # subnormal cut
+        [1.0, 2.0**-60, 2.0**-120, 2.0**-900, 0.0],
+    ],
+    ids=str,
+)
+def test_exact_sum_equals_fsum_at_the_edges(values):
+    assert _exact_sum(values) == math.fsum(values)
+
+
+_SPREAD_FLOATS = st.one_of(
+    st.floats(min_value=0.0, max_value=2.0**1000, allow_nan=False, allow_infinity=False),
+    st.builds(math.ldexp, st.floats(min_value=0.5, max_value=1.0, exclude_max=True),
+              st.integers(min_value=-1074, max_value=1000)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPREAD_FLOATS, min_size=1, max_size=60))
+def test_exact_sum_equals_fsum(values):
+    assert _exact_sum(values) == math.fsum(values)
