@@ -10,9 +10,8 @@ power derivative at the null), the acceptance region of the
 minimum-likelihood p-value, and the tabular/figure series summarizing all
 of it for the binomial and hypergeometric test families.
 
-Tail-moment integrals use closed forms: for chi-square,
-integral_0^t x dF_k(x) = k F_{k+2}(t); the variance-ratio family has the
-analogous incomplete-beta identity.
+Tail-moment integrals use the chi-square closed form
+integral_0^t x dF_k(x) = k F_{k+2}(t).
 
 The bias minimum over rho is also in closed form for both variance
 families: the power F(rho*c_L) + S(rho*c_R) is stationary where
@@ -44,7 +43,7 @@ from .pvalue import (
     tail_weights,
 )
 from .roots import brentq
-from .specfun import reg_beta, reg_gamma_lower
+from .specfun import reg_gamma_lower
 
 __all__ = [
     "UMPU",
@@ -142,26 +141,13 @@ def variance_power(d: Distribution, c_left: float, c_right: float, rho: float) -
 
 
 def lower_partial_mean(d: Distribution, t: float) -> float:
-    """integral_{lo}^{t} x dF(x), in closed form.
-
-    chi-square(k): k * F_{k+2}(t); variance-ratio(d1, d2): the mean times
-    the regularized incomplete beta at the transformed argument, which
-    needs d2 > 2 for the mean to exist.
-    """
-    if isinstance(d, ChiSquare):
-        if t <= 0.0:
-            return 0.0
-        return d.df * reg_gamma_lower(d.df / 2.0 + 1.0, t / 2.0)
-    if isinstance(d, FRatio):
-        if t <= 0.0:
-            return 0.0
-        mean = d.mean()  # raises for d2 <= 2, where the integral diverges too
-        y = d.d1 * t / (d.d1 * t + d.d2)
-        return mean * reg_beta(y, d.d1 / 2.0 + 1.0, d.d2 / 2.0 - 1.0)
-    raise ValueError(
-        f"no closed-form partial mean for {type(d).__name__}; "
-        "supported families: ChiSquare, FRatio"
-    )
+    """integral_{lo}^{t} x dF(x), in closed form: k * F_{k+2}(t) for chi-square(k)."""
+    if not isinstance(d, ChiSquare):
+        raise ValueError(f"no closed-form partial mean for {type(d).__name__}; "
+                         "supported family: ChiSquare")
+    if t <= 0.0:
+        return 0.0
+    return d.df * reg_gamma_lower(d.df / 2.0 + 1.0, t / 2.0)
 
 
 def power_derivative_at_null(d: Distribution, alpha: float, w_left: float) -> float:
@@ -409,24 +395,14 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
 
 def _fig1(resolution: int) -> tuple[list[str], list[tuple]]:
     d = ChiSquare(5)
-    alpha = 0.05
-    left, right = minlik_region(d, alpha)
-    regions = [
-        ("power_min_likelihood", left, right),
-    ]
-    doubled = critical_region_from_weights(d, alpha, 0.5)
-    conditional = critical_region_from_weights(d, alpha, d.cdf(d.mean()))
-    _, umpu_region = umpu_weights(d, alpha)
-    regions.append(("power_doubled", doubled.c_left, doubled.c_right))
-    regions.append(("power_conditional", conditional.c_left, conditional.c_right))
-    regions.append(("power_umpu", umpu_region.c_left, umpu_region.c_right))
-
+    methods = (MIN_LIKELIHOOD, DOUBLED, CONDITIONAL, UMPU)
+    regions = [_region_for_method(d, m, 0.05, "mean") for m in methods]
     lo, hi = 0.05, 6.0
     grid = sorted({lo + (hi - lo) * i / (resolution - 1) for i in range(resolution)} | {1.0})
-    header = ["rho"] + [name for name, _, _ in regions]
+    header = ["rho"] + [f"power_{m}" for m in methods]
     rows = []
     for rho in grid:
-        rows.append(tuple([rho] + [variance_power(d, cl, cr, rho) for _, cl, cr in regions]))
+        rows.append(tuple([rho] + [variance_power(d, cl, cr, rho) for cl, cr in regions]))
     return header, rows
 
 

@@ -87,8 +87,8 @@ _BIAS_METHOD_ALIASES = {name: method
                         if method in analysis.BIAS_METHODS}
 
 # what a command handler returns: the command name, the echoed inputs, and
-# either the results of a JSON envelope or finished CSV text
-_Payload = tuple[str, dict, dict | str]
+# either the JSON results (a dict or a result dataclass) or finished CSV text
+_Payload = tuple[str, dict, object]
 
 
 def _parse_number(token: str, kind: str, context: str) -> float | int:
@@ -156,7 +156,10 @@ def _parse_float_list(text: str, context: str) -> list[float]:
 
 
 def _round_floats(value):
-    """Round every float to 10 significant digits, recursively."""
+    """Round every float to 10 significant digits, recursively.
+
+    A dataclass becomes the dict of its fields in declaration order.
+    """
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
@@ -165,6 +168,8 @@ def _round_floats(value):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_floats(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):  # ten times cheaper than is_dataclass
+        return _round_floats(vars(value))
     return value
 
 
@@ -202,22 +207,6 @@ def _emit(text: str, out_path: str | None) -> None:
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-
-
-def _weights_payload(w: pvalue.Weights) -> dict:
-    return {"w_left": w.w_left, "w_right": w.w_right}
-
-
-def _report_payload(report: stattests.TestReport) -> dict:
-    return {
-        "statistic": report.statistic,
-        "anchor": report.anchor,
-        "weights": _weights_payload(report.weights),
-        "p_left": report.p_left,
-        "p_right": report.p_right,
-        "p_two_sided": report.p_two_sided,
-        "direction": report.direction,
-    }
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -353,7 +342,7 @@ def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
     }
     results = {
         "anchor": anchor_value,
-        "weights": _weights_payload(weights),
+        "weights": weights,
         "p_values": p_values,
     }
     return "pvalue", inputs, results
@@ -405,7 +394,7 @@ def _cmd_test(args: argparse.Namespace) -> _Payload:
     inputs["anchor"] = args.anchor
     if args.method is not None:
         inputs["method"] = args.method
-    return f"test.{args.subcommand}", inputs, _report_payload(report)
+    return f"test.{args.subcommand}", inputs, report
 
 
 def _read_sample(path: str) -> list[float]:
@@ -457,14 +446,7 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
                                anchor=parse_anchor(args.anchor))
         inputs = {"dist": args.dist, "method": args.method, "alpha": args.alpha,
                   "anchor": args.anchor}
-        results = {
-            "method": report.method,
-            "level": report.level,
-            "min_power": report.min_power,
-            "bias": report.bias,
-            "argmin_rho": report.argmin_rho,
-        }
-        return "analyze.bias", inputs, results
+        return "analyze.bias", inputs, report
 
     if args.subcommand == "table1":
         ns = _parse_int_list(args.n, "table1 n") if args.n else list(analysis.TABLE1_NS)

@@ -23,8 +23,8 @@ the mode, it multiplies outward until the weights underflow to 0 or stop
 shrinking, so the tables cover a window around the mode rather than the
 whole support (for large supports, about 38.6 standard deviations on each
 side, where exp(-z**2 / 2) underflows). Support points outside the
-window have mass 0. The tables of the 32 most recently used distributions
-are cached.
+window have mass 0. The tables of the most recently used distribution are
+cached; every caller reads one law at a time.
 
 The build is cheap but exact: it gives the floats of the plain recipe (a
 ratio call per step, ``math.fsum`` of the weights, every running sum
@@ -412,7 +412,7 @@ def _clamped_sums(masses: Iterable[float]) -> list[float]:
     return sums
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _discrete_tables(d: "_Discrete") -> _Tables:
     lo, hi = d._bounds()
     # the ratio falls strictly (the families are log-concave), so the

@@ -73,7 +73,7 @@ MEDIAN = "median"
 TailAnchor = Union[float, str]
 
 # relative tolerance for treating two masses as tied in min-likelihood sums
-DEFAULT_TIE_TOL = 1e-9
+_TIE_TOL = 1e-9
 
 # tolerance of the bracketing search for conjugate points
 _ROOT_RTOL = 1e-13
@@ -229,20 +229,20 @@ def p_conditional(d: Distribution, x: float, anchor_value: float, *,
     return min(1.0, _anchored_tail(d, x, anchor_value, weights, scale))
 
 
-def p_min_likelihood(d: Distribution, x: float, *, tie_tol: float = DEFAULT_TIE_TOL) -> float:
+def p_min_likelihood(d: Distribution, x: float) -> float:
     """Null probability of outcomes no more likely than the observed one.
 
-    Discrete: the sum of every mass within ``tie_tol`` (relative) of being
-    at most the observed mass, so exact ties land on the same side of the
-    cut regardless of rounding. Continuous: the observed tail plus the
-    opposite tail beyond the equal-density point; a flat (uniform) density
-    gives 1 identically.
+    Discrete: the sum of every mass within a relative tolerance, fixed at
+    1e-9, of being at most the observed mass, so exact ties land on the same
+    side of the cut regardless of rounding. Continuous: the observed tail
+    plus the opposite tail beyond the equal-density point; a flat (uniform)
+    density gives 1 identically.
     """
     if d.is_discrete:
         px = d.pdf_or_pmf(x)
         if px <= 0.0:
             return 0.0
-        return min(1.0, d.mass_at_most(px * (1.0 + tie_tol)))
+        return min(1.0, d.mass_at_most(px * (1.0 + _TIE_TOL)))
 
     if isinstance(d, Uniform):
         return 1.0
@@ -280,43 +280,35 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
     def height(t: float) -> float:
         return d.pdf_or_pmf(t) - fx
 
-    if x < mode:
-        # search to the right of the mode, expanding toward +inf if needed
-        if math.isfinite(sup.hi):
-            hi = sup.hi
-            boundary = d.pdf_or_pmf(hi)
-            if boundary > fx:
-                return None
-            if boundary == fx:
-                return hi
+    # search between the mode and the far end of the support, doubling the
+    # step away from the mode when that end is infinite
+    below = x < mode
+    far = sup.hi if below else sup.lo
+    if far == mode:
+        # the mode sits on that end, so the density has no branch beyond it
+        return None
+    if math.isfinite(far):
+        boundary = d.pdf_or_pmf(far)
+        if boundary > fx:
+            return None
+        if boundary == fx:
+            return far
+    else:
+        step = max(1.0, abs(mode - x))
+        for _ in range(600):
+            far = mode + step if below else mode - step
+            if d.pdf_or_pmf(far) < fx:
+                break
+            step *= 2.0
         else:
-            step = max(1.0, mode - x)
-            hi = mode + step
-            for _ in range(600):
-                if d.pdf_or_pmf(hi) < fx:
-                    break
-                step *= 2.0
-                hi = mode + step
-            else:
-                return None
-        # when f(x) ties the density at the mode within rounding, the computed
-        # height at the mode can be negative and brentq has no sign change
-        if height(mode) <= 0.0:
-            return mode
-        return brentq(height, mode, hi, rtol=_ROOT_RTOL, atol=1e-300)
-
-    lo = sup.lo
-    if lo == mode:
-        # density is already decreasing from the boundary; no left branch
-        return None
-    boundary = d.pdf_or_pmf(lo)
-    if boundary > fx:
-        return None
-    if boundary == fx:
-        return lo
+            return None
+    # when f(x) ties the density at the mode within rounding, the computed
+    # height at the mode can be negative and brentq has no sign change
     if height(mode) <= 0.0:
         return mode
-    return brentq(height, lo, mode, rtol=_ROOT_RTOL, atol=1e-300)
+    if below:
+        return brentq(height, mode, far, rtol=_ROOT_RTOL, atol=1e-300)
+    return brentq(height, far, mode, rtol=_ROOT_RTOL, atol=1e-300)
 
 
 def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float | None:
@@ -346,8 +338,7 @@ def p_value(d: Distribution, x: float, method: str, *,
             anchor_value: float | None = None,
             weights: Weights | None = None,
             anchor_weights: Weights | None = None,
-            truncate: bool = True,
-            tie_tol: float = DEFAULT_TIE_TOL) -> float:
+            truncate: bool = True) -> float:
     """Dispatch a two-sided p-value by method name.
 
     ``anchor_value`` must already be resolved (see :func:`resolve_anchor`);
@@ -356,7 +347,7 @@ def p_value(d: Distribution, x: float, method: str, *,
     methods use ``anchor_weights`` as their :func:`tail_weights` when given.
     """
     if method == MIN_LIKELIHOOD:
-        return p_min_likelihood(d, x, tie_tol=tie_tol)
+        return p_min_likelihood(d, x)
     if method not in METHODS:
         raise ValueError(f"unknown p-value method {method!r}; expected one of {METHODS}")
     if method == DOUBLED:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+from typing import Callable
 
 __all__ = [
     "log_choose",
@@ -248,6 +249,30 @@ def _check_prob_for_inverse(p: float) -> None:
         raise ValueError(f"probability must lie in [0, 1), got {p!r}")
 
 
+def _newton_in_bracket(f: Callable[[float], float], log_pdf: Callable[[float], float],
+                       x: float, lo: float, hi: float) -> float:
+    # Newton on the increasing f, whose derivative is exp(log_pdf). Each sign
+    # of f narrows the bracket [lo, hi]; a step that would leave it (or
+    # overflow) bisects instead.
+    for _ in range(_MAX_ITER):
+        fx = f(x)
+        if fx > 0.0:
+            hi = x
+        elif fx < 0.0:
+            lo = x
+        else:
+            return x
+        lp = log_pdf(x)
+        step = fx * math.exp(-lp) if lp > -700.0 else math.inf
+        nxt = x - step
+        if not math.isfinite(nxt) or not (lo < nxt < hi):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
+            return nxt
+        x = nxt
+    return x
+
+
 def inv_reg_gamma_lower(a: float, p: float) -> float:
     """Inverse of ``reg_gamma_lower`` in x: returns x with P(a, x) = p.
 
@@ -278,23 +303,9 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
         x = 0.5 * (lo + hi)
 
     log_gamma_a = math.lgamma(a)
-    for _ in range(_MAX_ITER):
-        fx = reg_gamma_lower(a, x) - p
-        if fx > 0.0:
-            hi = x
-        elif fx < 0.0:
-            lo = x
-        else:
-            return x
-        log_pdf = (a - 1.0) * math.log(x) - x - log_gamma_a
-        step = fx * math.exp(-log_pdf) if log_pdf > -700.0 else math.inf
-        nxt = x - step
-        if not math.isfinite(nxt) or not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
-            return nxt
-        x = nxt
-    return x
+    return _newton_in_bracket(lambda t: reg_gamma_lower(a, t) - p,
+                              lambda t: (a - 1.0) * math.log(t) - t - log_gamma_a,
+                              x, lo, hi)
 
 
 def inv_reg_beta(p: float, a: float, b: float) -> float:
@@ -308,26 +319,11 @@ def inv_reg_beta(p: float, a: float, b: float) -> float:
     if p == 1.0:
         return 1.0
 
-    lo, hi = 0.0, 1.0
-    x = a / (a + b)
     log_beta_ab = _log_beta(a, b)
-    for _ in range(_MAX_ITER):
-        fx = reg_beta(x, a, b) - p
-        if fx > 0.0:
-            hi = x
-        elif fx < 0.0:
-            lo = x
-        else:
-            return x
-        log_pdf = (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x) - log_beta_ab
-        step = fx * math.exp(-log_pdf) if log_pdf > -700.0 else math.inf
-        nxt = x - step
-        if not math.isfinite(nxt) or not (lo < nxt < hi):
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
-            return nxt
-        x = nxt
-    return x
+    return _newton_in_bracket(
+        lambda t: reg_beta(t, a, b) - p,
+        lambda t: (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - log_beta_ab,
+        a / (a + b), 0.0, 1.0)
 
 
 def norm_cdf(x: float) -> float:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import sys
+from pathlib import Path
+
 import twoside
 from twoside import analysis, dist, pvalue, specfun, stattests
 
@@ -37,3 +41,21 @@ def test_earlier_exports_kept_except_the_removed_ones():
         assert not hasattr(twoside, name)
     for name in ("Accuracy", "DEFAULT_ACCURACY", "log_gamma"):
         assert not hasattr(specfun, name)
+
+
+def test_package_imports_only_the_standard_library():
+    # mpmath and other third-party packages may be installed where the tests
+    # run, so an accidental import would not fail there; read the sources
+    sources = sorted(Path(twoside.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] in sys.stdlib_module_names, (path.name, module)

@@ -8,6 +8,7 @@ the library call serialized the same way (bit-for-bit round-trip).
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -33,6 +34,28 @@ def run(capsys, *argv: str):
 
 def round10(x: float) -> float:
     return float(f"{x:.10g}")
+
+
+def test_round_floats_gives_a_report_its_fields_in_order():
+    report = stattests.TestReport(
+        statistic=1.23456789012345, anchor=5.0,
+        weights=pvalue.Weights(0.4158801869955079, 0.5841198130044921),
+        p_left=0.1, p_right=0.9000000000000001,
+        p_two_sided={"doubled": 0.2000000000000002}, direction="left")
+    out = cli._round_floats({"truncate": True, "report": report})
+    assert out["truncate"] is True
+    assert list(out["report"]) == [f.name for f in dataclasses.fields(report)]
+    assert out["report"] == {
+        "statistic": 1.23456789,
+        "anchor": 5.0,
+        "weights": {"w_left": 0.415880187, "w_right": 0.584119813},
+        "p_left": 0.1,
+        "p_right": 0.9,
+        "p_two_sided": {"doubled": 0.2},
+        "direction": "left",
+    }
+    assert list(out["report"]["weights"]) == ["w_left", "w_right"]
+    assert report.statistic == 1.23456789012345  # the report itself is not modified
 
 
 # ---------------------------------------------------------------------------
