@@ -10,9 +10,6 @@ power derivative at the null), the acceptance region of the
 minimum-likelihood p-value, and the tabular/figure series summarizing all
 of it for the binomial and hypergeometric test families.
 
-Tail-moment integrals use the chi-square closed form
-integral_0^t x dF_k(x) = k F_{k+2}(t).
-
 The bias minimum over rho is also in closed form for both variance
 families: the power F(rho*c_L) + S(rho*c_R) is stationary where
 c_L f(rho*c_L) = c_R f(rho*c_R), which for chi-square and F has exactly one
@@ -43,7 +40,6 @@ from .pvalue import (
     tail_weights,
 )
 from .roots import brentq
-from .specfun import reg_gamma_lower
 
 __all__ = [
     "UMPU",
@@ -52,7 +48,6 @@ __all__ = [
     "BiasReport",
     "critical_region_from_weights",
     "variance_power",
-    "lower_partial_mean",
     "power_derivative_at_null",
     "umpu_weights",
     "minlik_region",
@@ -140,60 +135,31 @@ def variance_power(d: Distribution, c_left: float, c_right: float, rho: float) -
     return d.cdf(rho * c_left) + d.sf(rho * c_right)
 
 
-def lower_partial_mean(d: Distribution, t: float) -> float:
-    """integral_{lo}^{t} x dF(x), in closed form: k * F_{k+2}(t) for chi-square(k)."""
-    if not isinstance(d, ChiSquare):
-        raise ValueError(f"no closed-form partial mean for {type(d).__name__}; "
-                         "supported family: ChiSquare")
-    if t <= 0.0:
-        return 0.0
-    return d.df * reg_gamma_lower(d.df / 2.0 + 1.0, t / 2.0)
-
-
 def power_derivative_at_null(d: Distribution, alpha: float, w_left: float) -> float:
-    """Derivative of the power in the variance parameter at the null.
+    """Minus the scale derivative of the power at the null: c_R f(c_R) - c_L f(c_L).
 
-    Positive when the left tail carries too little weight, negative when
-    it carries too much, zero exactly for the unbiased (UMPU) choice of
-    w_left, and strictly decreasing in w_left.
-
-    For a chi-square statistic the derivative is taken in the natural
-    (exponential-family) parameter, with the closed form
-    integral_{tails} x dF - alpha * E.  The variance-ratio statistic is a
-    scale family but not an exponential family in the ratio, so there the
-    derivative is taken directly in the scale parameter:
-
-        c_R f(c_R) - c_L f(c_L)
-            = [y_R^a (1 - y_R)^b - y_L^a (1 - y_L)^b] / B(a, b)
-
-    with y = d1 x / (d1 x + d2), a = d1/2, b = d2/2.  With equal
-    numerator and denominator degrees of freedom that expression vanishes
-    at w_left = 1/2 exactly, recovering the classical result that the
-    equal-tails variance-ratio test is unbiased for equal sample sizes.
+    Positive when the left tail carries too little weight, negative when it
+    carries too much, zero exactly for the unbiased (UMPU) choice of w_left,
+    where c_L f(c_L) = c_R f(c_R), and strictly decreasing in w_left. For
+    chi-square(k) the natural-parameter form integral_{tails} x dF - alpha k
+    is twice this value, since k F_{k+2}(t) = k F_k(t) - 2 t f_k(t). For
+    F(d, d) it vanishes at w_left = 1/2: the equal-tails variance-ratio test
+    is unbiased for equal sample sizes.
     """
     c_left, c_right = _region_cuts(d, alpha, w_left)
-    if isinstance(d, FRatio):
-        a = d.d1 / 2.0
-        b = d.d2 / 2.0
-        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-        def cut_term(c: float) -> float:
-            y = d.d1 * c / (d.d1 * c + d.d2)
-            return math.exp(a * math.log(y) + b * math.log1p(-y) - log_beta)
-
-        return cut_term(c_right) - cut_term(c_left)
-    mean = d.mean()
-    left = lower_partial_mean(d, c_left)
-    right = mean - lower_partial_mean(d, c_right)
-    return left + right - alpha * mean
+    return c_right * d.pdf_or_pmf(c_right) - c_left * d.pdf_or_pmf(c_left)
 
 
 def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
     """The left-tail weight making the level-alpha test unbiased.
 
     Solves power_derivative_at_null = 0 in w_left; returns the weight and
-    its critical region.
+    its critical region. Defined for the chi-square and F variance tests,
+    the scale families whose UMPU region this condition fixes.
     """
+    if not isinstance(d, (ChiSquare, FRatio)):
+        raise ValueError(f"UMPU weights are defined for the chi-square and F variance tests, "
+                         f"not {type(d).__name__}")
     lo, hi = 1e-6, 1.0 - 1e-6
     g_lo = power_derivative_at_null(d, alpha, lo)
     g_hi = power_derivative_at_null(d, alpha, hi)
@@ -312,6 +278,11 @@ def bias(d: Distribution, method: str, alpha: float, *,
       a log(c_L/c_R) < 0 at rho -> 0 to -b log(c_L/c_R) > 0 at rho -> inf;
       with t = (a/(a+b)) log(c_L/c_R) and r = e^t the root is
       rho* = d2 (1 - r) / (d1 (r c_R - c_L)).
+
+    At rho = 1 the condition reads c_L f(c_L) = c_R f(c_R), the zero of
+    :func:`power_derivative_at_null`, so :func:`_stationary_rho` returns 1
+    exactly when that derivative vanishes: the UMPU region's minimum power
+    is its level, and its bias is 0 up to rounding.
 
     rho* is clamped to [e^-4, e^4]. When c_L sits on the support's lower
     end (minimum likelihood with a mode at 0) the power decreases

@@ -1,9 +1,11 @@
 """Power, bias, optimal-weight, and table/figure regeneration tests.
 
-The closed-form tail-moment integrals are cross-checked against a 10,000
-panel corrected-trapezoid quadrature (independent oracle). Rounded
-three-digit reference values come from the worked examples this package
-reproduces; wherever a reference entry was itself derived from
+The chi-square partial-mean identity behind the UMPU condition is
+cross-checked against a 10,000 panel corrected-trapezoid quadrature
+(independent oracle), and the UMPU weights against 40-digit roots frozen
+from mpmath (mpmath itself is not imported). Rounded three-digit
+reference values come from the worked examples this package reproduces;
+wherever a reference entry was itself derived from
 already-rounded intermediate values (or is plainly a misprint), the exact
 rational value is asserted instead and the offset documented.
 """
@@ -26,13 +28,12 @@ from twoside.analysis import (
     critical_region_from_weights,
     figure_data,
     fisher_pvalue_table,
-    lower_partial_mean,
     minlik_region,
     power_derivative_at_null,
     umpu_weights,
     variance_power,
 )
-from twoside.dist import Binomial, ChiSquare, FRatio, TruncatedNormal
+from twoside.dist import Binomial, ChiSquare, FRatio, Triangular, TruncatedNormal, Uniform
 from twoside.pvalue import p_conditional
 
 CHISQ5 = ChiSquare(5)
@@ -40,7 +41,7 @@ ALPHA = 0.05
 
 
 # ---------------------------------------------------------------------------
-# quadrature oracle for the partial-mean closed forms
+# the identity behind the chi-square UMPU condition
 
 
 def _corrected_trapezoid(g, gp_a: float, gp_b: float, a: float, b: float,
@@ -68,19 +69,13 @@ def chi_square_partial_mean_oracle(k: int, t: float, panels: int = 10_000) -> fl
 @pytest.mark.parametrize("k", [3, 5, 10])
 @pytest.mark.parametrize("t", [1.0, 5.0, 15.0])
 def test_chi_square_partial_mean_against_quadrature(k, t):
-    assert lower_partial_mean(ChiSquare(k), t) == pytest.approx(
+    # integral_0^t x dF_k = k F_k(t) - 2 t f_k(t): with it the natural-parameter
+    # UMPU condition, integral_{tails} x dF = alpha k, is twice
+    # c_R f(c_R) - c_L f(c_L), so power_derivative_at_null has the same root
+    d = ChiSquare(k)
+    assert k * d.cdf(t) - 2.0 * t * d.pdf_or_pmf(t) == pytest.approx(
         chi_square_partial_mean_oracle(k, t), abs=1e-8
     )
-
-
-def test_partial_mean_edges():
-    assert lower_partial_mean(CHISQ5, 0.0) == 0.0
-    assert lower_partial_mean(CHISQ5, -3.0) == 0.0
-    assert lower_partial_mean(CHISQ5, 300.0) == pytest.approx(5.0, abs=1e-9)
-    with pytest.raises(ValueError, match="partial mean"):
-        lower_partial_mean(FRatio(5, 11), 1.0)
-    with pytest.raises(ValueError, match="partial mean"):
-        lower_partial_mean(TruncatedNormal(0.5), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -232,26 +227,49 @@ def test_mean_anchor_weight_beats_equal_tails_battery(alpha, k):
 
 
 def test_power_derivative_matches_numeric_rho_derivative():
-    # central-difference derivative of the power in rho at the null, mapped
-    # through the parametrization Jacobian: the chi-square closed form is a
-    # natural-parameter derivative (factor -1/2), the variance-ratio closed
-    # form is the scale-parameter derivative itself (factor -1, since rho
-    # multiplies the statistic inside the power while the alternative scales
-    # it down)
+    # central-difference derivative of the power in rho at the null; the
+    # closed form is the scale derivative for both families, with Jacobian -1
+    # (rho multiplies the statistic inside the power while the alternative
+    # scales it down)
     h = 1e-4
-    for w in (0.3, 0.6, 0.85):
-        region = critical_region_from_weights(CHISQ5, ALPHA, w)
-        numeric = (variance_power(CHISQ5, region.c_left, region.c_right, 1.0 + h)
-                   - variance_power(CHISQ5, region.c_left, region.c_right, 1.0 - h)) / (2.0 * h)
-        closed = power_derivative_at_null(CHISQ5, ALPHA, w)
-        assert numeric == pytest.approx(-0.5 * closed, abs=1e-5)
+    for d in (CHISQ5, FRatio(5, 11)):
+        for w in (0.3, 0.6, 0.85):
+            region = critical_region_from_weights(d, ALPHA, w)
+            numeric = (variance_power(d, region.c_left, region.c_right, 1.0 + h)
+                       - variance_power(d, region.c_left, region.c_right, 1.0 - h)) / (2.0 * h)
+            closed = power_derivative_at_null(d, ALPHA, w)
+            assert numeric == pytest.approx(-closed, abs=1e-5)
 
-        d = FRatio(5, 11)
-        region_f = critical_region_from_weights(d, ALPHA, w)
-        numeric_f = (variance_power(d, region_f.c_left, region_f.c_right, 1.0 + h)
-                     - variance_power(d, region_f.c_left, region_f.c_right, 1.0 - h)) / (2.0 * h)
-        closed_f = power_derivative_at_null(d, ALPHA, w)
-        assert numeric_f == pytest.approx(-closed_f, abs=1e-5)
+
+# w* = F(c_L)/alpha of the 5%-level UMPU region, from 40-digit mpmath roots of
+# c_L f(c_L) = c_R f(c_R) with F(c_L) + S(c_R) = alpha
+UMPU_ROOTS = [
+    (ChiSquare(1), "0.8964764421022196183565456614082887993655"),
+    (ChiSquare(2), "0.8295709118134154769150437049741034413004"),
+    (ChiSquare(5), "0.7314010991171143273763939459523465730204"),
+    (ChiSquare(30), "0.5996262912081397947481679100678597960994"),
+    (ChiSquare(300), "0.5317829214739160597166771818524182249968"),
+    (ChiSquare(2000), "0.5123195300023408396297420640515619818378"),
+    (ChiSquare(5000), "0.5077922275971062559187970883971729950286"),
+    (FRatio(5, 10), "0.5974067224088569801626927137880484630320"),
+    (FRatio(10, 20), "0.5702941479692639203446389373283176068765"),
+    (FRatio(50, 80), "0.5228931397041142707550010025402668926200"),
+]
+
+
+@pytest.mark.parametrize("d,w_ref", UMPU_ROOTS, ids=[str(d) for d, _ in UMPU_ROOTS])
+def test_umpu_weights_against_frozen_mpmath(d, w_ref):
+    w_star, _ = umpu_weights(d, ALPHA)
+    assert w_star == pytest.approx(float(w_ref), rel=5e-11)
+
+
+@pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Triangular(1.0, 2.0), TruncatedNormal(0.5)],
+                         ids=str)
+def test_umpu_weights_only_for_the_variance_families(d):
+    with pytest.raises(ValueError, match="UMPU") as excinfo:
+        umpu_weights(d, ALPHA)
+    assert type(d).__name__ in str(excinfo.value)
+    assert "partial mean" not in str(excinfo.value)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -24,7 +25,8 @@ EXPORTS_0_1_0 = [
     "lower_partial_mean", "power_derivative_at_null", "umpu_weights", "minlik_region", "bias",
     "binomial_weight_table", "fisher_pvalue_table", "figure_data",
 ]
-REMOVED = {"PowerCurve", "power_curve", "p_conditional_continuous", "p_conditional_discrete"}
+REMOVED = {"PowerCurve", "power_curve", "p_conditional_continuous", "p_conditional_discrete",
+           "lower_partial_mean"}
 
 
 def test_all_is_the_module_exports():
@@ -41,6 +43,19 @@ def test_earlier_exports_kept_except_the_removed_ones():
         assert not hasattr(twoside, name)
     for name in ("Accuracy", "DEFAULT_ACCURACY", "log_gamma"):
         assert not hasattr(specfun, name)
+
+
+def test_every_traced_function_exists():
+    # ``bench/run.py --trace 1`` stops at the first name in the tracer's list
+    # that the package no longer defines
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, functions, _ in tracer.TRACED:
+        module = importlib.import_module(f"twoside.{layer}")
+        for fn in functions:
+            assert callable(getattr(module, fn, None)), f"twoside.{layer}.{fn}"
 
 
 def test_package_imports_only_the_standard_library():

@@ -451,6 +451,22 @@ def test_domain_errors_exit_three(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "umpu", "--dist", "truncnorm:0.5", "--alpha", "0.05"),
+        ("analyze", "bias", "--dist", "unif:0,1", "--method", "umpu", "--alpha", "0.05"),
+    ],
+    ids=lambda argv: " ".join(argv)[:48],
+)
+def test_umpu_outside_the_variance_families_exits_three(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: UMPU weights are defined for the chi-square and F variance tests")
+    assert "partial mean" not in err
+
+
 def test_numerical_failure_exits_four(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise ArithmeticError("series did not converge")
