@@ -160,15 +160,7 @@ def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
     if not isinstance(d, (ChiSquare, FRatio)):
         raise ValueError(f"UMPU weights are defined for the chi-square and F variance tests, "
                          f"not {type(d).__name__}")
-    lo, hi = 1e-6, 1.0 - 1e-6
-    g_lo = power_derivative_at_null(d, alpha, lo)
-    g_hi = power_derivative_at_null(d, alpha, hi)
-    if not (g_lo > 0.0 > g_hi):
-        raise ValueError(
-            "power derivative does not change sign over w_left in "
-            f"[{lo}, {hi}]: got {g_lo!r} and {g_hi!r}"
-        )
-    w_star = brentq(lambda w: power_derivative_at_null(d, alpha, w), lo, hi,
+    w_star = brentq(lambda w: power_derivative_at_null(d, alpha, w), 1e-6, 1.0 - 1e-6,
                     rtol=1e-14, atol=1e-14)
     return w_star, critical_region_from_weights(d, alpha, w_star)
 
@@ -194,17 +186,10 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
         upper = d.quantile(1.0 - alpha)
         if f_lo >= d.pdf_or_pmf(upper):
             return sup.lo, upper
-
-    def tail_mass(left: float) -> float:
-        partner = conjugate_point(d, left)
-        right_mass = d.sf(partner) if partner is not None else 0.0
-        return d.cdf(left) + right_mass - alpha
-
+    # inside the bracket the two tails sum to below 1, so the cap at 1 never applies
     lo = d.quantile(min(alpha, 0.5) * 1e-8)
     hi = sup.lo + (mode - sup.lo) * (1.0 - 1e-9)
-    if not (tail_mass(lo) < 0.0 < tail_mass(hi)):
-        raise ValueError(f"could not bracket the density level for alpha={alpha!r}")
-    left = brentq(tail_mass, lo, hi, rtol=1e-13, atol=1e-300)
+    left = brentq(lambda t: p_min_likelihood(d, t) - alpha, lo, hi, rtol=1e-13, atol=1e-300)
     right = conjugate_point(d, left)
     if right is None:  # not reachable for an interior mode, kept for safety
         right = sup.hi
@@ -382,41 +367,30 @@ def _fig2(resolution: int) -> tuple[list[str], list[tuple]]:
     alpha = 0.05
     header = ["panel", "n", "bias_doubled", "bias_conditional"]
     rows = []
-    for n in range(3, 51):
-        d = ChiSquare(n - 1)
-        rows.append(("one_sample", n,
-                     bias(d, DOUBLED, alpha).bias,
-                     bias(d, CONDITIONAL, alpha).bias))
     # two-sample panel: first sample of size 6; the mean anchor needs n2 >= 4
-    for n2 in range(4, 51):
-        d = FRatio(5, n2 - 1)
-        rows.append(("two_sample", n2,
-                     bias(d, DOUBLED, alpha).bias,
-                     bias(d, CONDITIONAL, alpha).bias))
+    for panel, n_first, law in (("one_sample", 3, ChiSquare),
+                                ("two_sample", 4, lambda df: FRatio(5, df))):
+        for n in range(n_first, 51):
+            d = law(n - 1)
+            rows.append((panel, n,
+                         bias(d, DOUBLED, alpha).bias,
+                         bias(d, CONDITIONAL, alpha).bias))
     return header, rows
 
 
 def _fig3(resolution: int) -> tuple[list[str], list[tuple]]:
     header = ["panel", "x", "p_min_likelihood", "p_doubled_raw", "p_conditional"]
     rows = []
-    chisq = ChiSquare(5)
-    anchor = chisq.mean()
-    w = tail_weights(chisq, anchor)
-    for i in range(resolution + 1):
-        x = 20.0 * i / resolution
-        rows.append(("chisq5", x,
-                     p_min_likelihood(chisq, x),
-                     p_doubled(chisq, x, anchor, truncate=False),
-                     p_conditional(chisq, x, anchor, weights=w)))
-    trunc = TruncatedNormal(0.5)
-    t_anchor = trunc.mean()
-    t_w = tail_weights(trunc, t_anchor)
-    for i in range(resolution + 1):
-        x = -0.5 + 4.5 * i / resolution
-        rows.append(("truncnorm05", x,
-                     p_min_likelihood(trunc, x),
-                     p_doubled(trunc, x, t_anchor, truncate=False),
-                     p_conditional(trunc, x, t_anchor, weights=t_w)))
+    for panel, d, lo, width in (("chisq5", ChiSquare(5), 0.0, 20.0),
+                                ("truncnorm05", TruncatedNormal(0.5), -0.5, 4.5)):
+        anchor = d.mean()
+        w = tail_weights(d, anchor)
+        for i in range(resolution + 1):
+            x = lo + width * i / resolution
+            rows.append((panel, x,
+                         p_min_likelihood(d, x),
+                         p_doubled(d, x, anchor, truncate=False),
+                         p_conditional(d, x, anchor, weights=w)))
     return header, rows
 
 

@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 import warnings
@@ -147,12 +148,8 @@ def parse_methods(text: str, is_discrete: bool) -> list[tuple[str, pvalue.Weight
     return out
 
 
-def _parse_int_list(text: str, context: str) -> list[int]:
-    return [int(_parse_number(tok, "int", context)) for tok in text.split(",")]
-
-
-def _parse_float_list(text: str, context: str) -> list[float]:
-    return [float(_parse_number(tok, "float", context)) for tok in text.split(",")]
+def _parse_list(text: str, kind: str, context: str) -> list[float | int]:
+    return [_parse_number(tok, kind, context) for tok in text.split(",")]
 
 
 def _round_floats(value):
@@ -198,7 +195,8 @@ def _render_json(command: str, inputs: dict, results, warning_list: list[str]) -
         "results": _round_floats(results),
         "warnings": warning_list,
     }
-    return json.dumps(envelope, indent=2) + "\n"
+    # strict JSON: a NaN or an infinity raises ValueError instead of printing
+    return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -234,78 +232,76 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for asymmetric null distributions.",
     )
     top = parser.add_subparsers(dest="command", required=True, metavar="command")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to a file instead of stdout")
 
-    p_pv = top.add_parser("pvalue", help="two-sided p-values for one observation")
+    p_pv = top.add_parser("pvalue", parents=[out], help="two-sided p-values for one observation")
     p_pv.add_argument("--dist", required=True, help=_DIST_HELP)
     p_pv.add_argument("--x", required=True, type=float, help="observed value")
     p_pv.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
     p_pv.add_argument("--method", default="all", help=_METHOD_HELP)
     p_pv.add_argument("--no-truncate", action="store_true",
                       help="report the doubled p-value without capping at 1")
-    p_pv.add_argument("--out", help="write output to a file instead of stdout")
 
     p_test = top.add_parser("test", help="statistical tests")
     test_sub = p_test.add_subparsers(dest="subcommand", required=True, metavar="kind")
 
-    t_var = test_sub.add_parser("variance", help="one-sample variance test")
+    t_var = test_sub.add_parser("variance", parents=[out], help="one-sample variance test")
     t_var.add_argument("--s2", type=float, help="sample variance")
     t_var.add_argument("--n", type=int, help="sample size")
     t_var.add_argument("--data", help="file with one observation per line "
                                       "(alternative to --s2/--n)")
     t_var.add_argument("--sigma0sq", required=True, type=float, help="null variance")
 
-    t_f = test_sub.add_parser("f", help="two-sample variance-ratio test")
+    t_f = test_sub.add_parser("f", parents=[out], help="two-sample variance-ratio test")
     t_f.add_argument("--s1sq", required=True, type=float, help="first sample variance")
     t_f.add_argument("--n1", required=True, type=int, help="first sample size")
     t_f.add_argument("--s2sq", required=True, type=float, help="second sample variance")
     t_f.add_argument("--n2", required=True, type=int, help="second sample size")
 
-    t_b = test_sub.add_parser("binomial", help="exact binomial test")
+    t_b = test_sub.add_parser("binomial", parents=[out], help="exact binomial test")
     t_b.add_argument("--x", required=True, type=int, help="number of successes")
     t_b.add_argument("--n", required=True, type=int, help="number of trials")
     t_b.add_argument("--p0", required=True, type=float, help="null success probability")
 
-    t_fi = test_sub.add_parser("fisher", help="Fisher's exact test for a 2x2 table")
+    t_fi = test_sub.add_parser("fisher", parents=[out], help="Fisher's exact test for a 2x2 table")
     t_fi.add_argument("--table", required=True,
                       help="cell counts a,b,c,d (row-major: n11,n12,n21,n22)")
 
     for sub in (t_var, t_f, t_b, t_fi):
         sub.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
         sub.add_argument("--method", default=None, help=_METHOD_HELP)
-        sub.add_argument("--out", help="write output to a file instead of stdout")
 
     p_an = top.add_parser("analyze", help="power, bias, and table/figure data")
     an_sub = p_an.add_subparsers(dest="subcommand", required=True, metavar="what")
 
-    a_umpu = an_sub.add_parser("umpu", help="unbiased-test weights and critical region")
+    a_umpu = an_sub.add_parser("umpu", parents=[out],
+                               help="unbiased-test weights and critical region")
     a_umpu.add_argument("--dist", required=True, help=_DIST_HELP)
     a_umpu.add_argument("--alpha", required=True, type=float, help="test level")
-    a_umpu.add_argument("--out", help="write output to a file instead of stdout")
 
-    a_bias = an_sub.add_parser("bias", help="minimum power minus level over alternatives")
+    a_bias = an_sub.add_parser("bias", parents=[out],
+                               help="minimum power minus level over alternatives")
     a_bias.add_argument("--dist", required=True, help=_DIST_HELP)
     a_bias.add_argument("--method", required=True,
                         help="doubled, conditional, umpu, or min_likelihood")
     a_bias.add_argument("--alpha", required=True, type=float, help="test level")
     a_bias.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
-    a_bias.add_argument("--out", help="write output to a file instead of stdout")
 
-    a_t1 = an_sub.add_parser("table1", help="binomial tail-weight table")
+    a_t1 = an_sub.add_parser("table1", parents=[out], help="binomial tail-weight table")
     a_t1.add_argument("--n", default=None, help="comma-separated sample sizes")
     a_t1.add_argument("--p", default=None, help="comma-separated success probabilities")
     a_t1.add_argument("--format", default="json", choices=("json", "csv"),
                       help="output format (default json)")
-    a_t1.add_argument("--out", help="write output to a file instead of stdout")
 
-    a_t2 = an_sub.add_parser("table2", help="hypergeometric p-value table")
+    a_t2 = an_sub.add_parser("table2", parents=[out], help="hypergeometric p-value table")
     a_t2.add_argument("--margins", required=True,
                       help="row1,col1,total of the margin family")
     a_t2.add_argument("--format", default="json", choices=("json", "csv"),
                       help="output format (default json)")
-    a_t2.add_argument("--out", help="write output to a file instead of stdout")
 
     a_fig = an_sub.add_parser(
-        "figure",
+        "figure", parents=[out],
         help="figure-data series (CSV). fig1: rho, power of the four 5%%-level "
              "chi-square(5) tests. fig2: panel, n, bias of doubled/conditional tests "
              "(one_sample n=3..50; two_sample n1=6, n2=4..50). fig3: panel, x, three "
@@ -316,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="which figure's data to emit")
     a_fig.add_argument("--resolution", default=512, type=int,
                        help="grid resolution for continuous axes (default 512)")
-    a_fig.add_argument("--out", help="write output to a file instead of stdout")
 
     return parser
 
@@ -325,6 +320,8 @@ def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
     d = parse_dist(args.dist)
     anchor = parse_anchor(args.anchor)
     methods = parse_methods(args.method, d.is_discrete)
+    if not math.isfinite(args.x):
+        raise ValueError(f"x must be finite, got {args.x!r}")
     truncate = not args.no_truncate
     anchor_value = pvalue.resolve_anchor(d, anchor)
     weights = pvalue.tail_weights(d, anchor_value)
@@ -385,7 +382,7 @@ def _cmd_test(args: argparse.Namespace) -> _Payload:
                                          anchor=anchor, methods=methods)
         inputs = {"x": args.x, "n": args.n, "p0": args.p0}
     else:
-        cells = _parse_int_list(args.table, "table cell")
+        cells = _parse_list(args.table, "int", "table cell")
         if len(cells) != 4:
             raise UsageError(f"--table needs 4 cell counts, got {len(cells)}")
         table = stattests.ContingencyTable(*cells)
@@ -449,14 +446,14 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
         return "analyze.bias", inputs, report
 
     if args.subcommand == "table1":
-        ns = _parse_int_list(args.n, "table1 n") if args.n else list(analysis.TABLE1_NS)
-        ps = _parse_float_list(args.p, "table1 p") if args.p else list(analysis.TABLE1_PS)
+        ns = _parse_list(args.n, "int", "table1 n") if args.n else list(analysis.TABLE1_NS)
+        ps = _parse_list(args.p, "float", "table1 p") if args.p else list(analysis.TABLE1_PS)
         rows = analysis.binomial_weight_table(ns, ps)
         header = ["n", "p", "w_left", "weight_ratio", "w_left_modified"]
         return "analyze.table1", {"n": ns, "p": ps}, _table_results(rows, header, args.format)
 
     if args.subcommand == "table2":
-        margins = _parse_int_list(args.margins, "margins")
+        margins = _parse_list(args.margins, "int", "margins")
         if len(margins) != 3:
             raise UsageError(f"--margins needs row1,col1,total, got {len(margins)} values")
         rows = analysis.fisher_pvalue_table(*margins)

@@ -2,8 +2,9 @@
 
 Continuous families: chi-square, the F ratio, the uniform, an asymmetric
 triangular, and a left-truncated standard normal. Discrete families: the
-binomial, the central hypergeometric (Fisher's exact null), and Fisher's
-noncentral hypergeometric.
+binomial and Fisher's noncentral hypergeometric; the central
+hypergeometric (Fisher's exact null) is its odds-1 case, a subclass that
+takes only the margins.
 
 Discrete conventions differ across libraries, so they are pinned here:
 
@@ -51,7 +52,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
@@ -526,14 +527,6 @@ class _Discrete(Distribution):
         return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
 
 
-def _hyper_ratios(row1: int, col1: int, total: int, odds: float,
-                  ks: Iterable[int]) -> Iterator[float]:
-    """pmf(k + 1) / pmf(k) of Fisher's noncentral hypergeometric: the
-    central ratio, rounded once, times ``odds`` (exact for odds 1)."""
-    rest = total - row1 - col1
-    return ((row1 - k) * (col1 - k) / ((k + 1) * (rest + k + 1)) * odds for k in ks)
-
-
 @dataclass(frozen=True)
 class Binomial(_Discrete):
     """Binomial with ``n`` trials and success probability ``p``."""
@@ -560,36 +553,13 @@ class Binomial(_Discrete):
 
 
 @dataclass(frozen=True)
-class Hypergeometric(_Discrete):
-    """Count in cell (1,1) of a 2x2 table with fixed margins.
+class NoncentralHypergeometric(_Discrete):
+    """Fisher's noncentral hypergeometric: the count in cell (1,1) of a 2x2
+    table with fixed margins when the underlying odds ratio is ``odds``.
 
     ``row1`` and ``col1`` are the first row and column totals and ``total``
-    the table total; this is the null distribution of Fisher's exact test.
+    the table total.
     """
-
-    row1: int
-    col1: int
-    total: int
-
-    def __post_init__(self) -> None:
-        r, c, n = operator.index(self.row1), operator.index(self.col1), operator.index(self.total)
-        if n < 1 or not (0 <= r <= n) or not (0 <= c <= n):
-            raise ValueError(f"margins must satisfy 0 <= row1, col1 <= total, got {r}, {c}, {n}")
-
-    def _bounds(self) -> tuple[int, int]:
-        return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
-
-    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
-        return _hyper_ratios(self.row1, self.col1, self.total, 1.0, ks)
-
-    def mean(self) -> float:
-        return self.row1 * self.col1 / self.total
-
-
-@dataclass(frozen=True)
-class NoncentralHypergeometric(_Discrete):
-    """Fisher's noncentral hypergeometric: the 2x2 cell count when the
-    underlying odds ratio is ``odds`` instead of 1."""
 
     row1: int
     col1: int
@@ -607,9 +577,22 @@ class NoncentralHypergeometric(_Discrete):
         return max(0, self.row1 + self.col1 - self.total), min(self.row1, self.col1)
 
     def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
-        # the mass is C(row1, k) C(total-row1, col1-k) odds^k, normalized
-        return _hyper_ratios(self.row1, self.col1, self.total, self.odds, ks)
+        # the mass is C(row1, k) C(total-row1, col1-k) odds^k, normalized:
+        # the central ratio, rounded once, times odds (exact for odds 1)
+        row1, col1, odds = self.row1, self.col1, self.odds
+        rest = self.total - row1 - col1
+        return ((row1 - k) * (col1 - k) / ((k + 1) * (rest + k + 1)) * odds for k in ks)
 
     def mean(self) -> float:
         t = self._tables()
         return _exact_sum([(t.first + i) * v for i, v in enumerate(t.pmf)])
+
+
+@dataclass(frozen=True)
+class Hypergeometric(NoncentralHypergeometric):
+    """The central law, odds 1: the null distribution of Fisher's exact test."""
+
+    odds: float = field(default=1.0, init=False, repr=False)
+
+    def mean(self) -> float:
+        return self.row1 * self.col1 / self.total

@@ -302,17 +302,10 @@ def davis_ordering(row1: int, col1: int, total: int, which: str) -> list[tuple[i
     they are ordered among themselves by decreasing null probability, the
     natural refinement for values the statistic itself cannot separate.
     """
-    tables = _margin_tables(row1, col1, total)
-    if not tables:
-        raise ValueError("empty margin family")
-    _require_positive_margins(tables[0])
-    if which not in DAVIS_STATISTIC_IDS:
-        raise ValueError(f"unknown statistic id {which!r}; expected one of {DAVIS_STATISTIC_IDS}")
-    d = Hypergeometric(row1, col1, total)
     scored = []
-    for t in tables:
-        stat = davis_statistics(t).by_id(which)
-        scored.append((stat, -d.pdf_or_pmf(t.n11), t.n11))
+    for t in _margin_tables(row1, col1, total):
+        stats = davis_statistics(t)
+        scored.append((stats.by_id(which), stats.t1, t.n11))
     scored.sort()
 
     groups: list[tuple[int, ...]] = []

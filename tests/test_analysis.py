@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from twoside import analysis
 from twoside.analysis import (
     BIAS_METHODS,
     FIGURES,
@@ -263,6 +264,20 @@ def test_umpu_weights_against_frozen_mpmath(d, w_ref):
     assert w_star == pytest.approx(float(w_ref), rel=5e-11)
 
 
+def test_umpu_weights_evaluates_each_bracket_end_once(monkeypatch):
+    seen = []
+    inner = analysis.power_derivative_at_null
+
+    def counted(d, alpha, w_left):
+        seen.append(w_left)
+        return inner(d, alpha, w_left)
+
+    monkeypatch.setattr(analysis, "power_derivative_at_null", counted)
+    umpu_weights(CHISQ5, ALPHA)
+    assert seen.count(1e-6) == 1
+    assert seen.count(1.0 - 1e-6) == 1
+
+
 @pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Triangular(1.0, 2.0), TruncatedNormal(0.5)],
                          ids=str)
 def test_umpu_weights_only_for_the_variance_families(d):
@@ -293,6 +308,24 @@ def test_minlik_region_when_a_density_ties_the_mode(d):
     assert left < d.mode_set()[0] < right
     assert d.pdf_or_pmf(left) == pytest.approx(d.pdf_or_pmf(right), rel=1e-8)
     assert d.cdf(left) + d.sf(right) == pytest.approx(ALPHA, abs=1e-10)
+
+
+def test_minlik_region_evaluates_each_bracket_end_once(monkeypatch):
+    # each evaluation of the tail sum reads the cdf once, at its left point,
+    # and brentq starts with the two bracket ends
+    seen = []
+    inner = ChiSquare.cdf
+
+    def counted(self, x):
+        seen.append(x)
+        return inner(self, x)
+
+    monkeypatch.setattr(ChiSquare, "cdf", counted)
+    minlik_region(CHISQ5, ALPHA)
+    lo, hi = seen[:2]
+    assert lo < hi < CHISQ5.mode_set()[0]
+    assert seen.count(lo) == 1
+    assert seen.count(hi) == 1
 
 
 def test_minlik_region_min_power():

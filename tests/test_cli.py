@@ -388,6 +388,18 @@ def test_help_exits_zero(capsys):
     assert "pvalue" in out and "analyze" in out
 
 
+@pytest.mark.parametrize("command", [
+    ("pvalue",),
+    ("test", "variance"), ("test", "f"), ("test", "binomial"), ("test", "fisher"),
+    ("analyze", "umpu"), ("analyze", "bias"), ("analyze", "table1"), ("analyze", "table2"),
+    ("analyze", "figure"),
+], ids=" ".join)
+def test_every_subcommand_help_lists_out(capsys, command):
+    code, out, _ = run(capsys, *command, "--help")
+    assert code == 0
+    assert "--out" in out
+
+
 # ---------------------------------------------------------------------------
 # error handling
 
@@ -465,6 +477,15 @@ def test_umpu_outside_the_variance_families_exits_three(capsys, argv):
     assert out == ""
     assert err.startswith("error: UMPU weights are defined for the chi-square and F variance tests")
     assert "partial mean" not in err
+
+
+@pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
+@pytest.mark.parametrize("law", ["unif:0,1", "tri:1,2", "chisq:5", "binom:10,0.2"])
+def test_non_finite_x_exits_three(capsys, law, x):
+    code, out, err = run(capsys, "pvalue", "--dist", law, "--x", x)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: x must be finite, got {float(x)!r}\n"
 
 
 def test_numerical_failure_exits_four(capsys, monkeypatch):

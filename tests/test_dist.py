@@ -9,6 +9,7 @@ binomial, and Fisher-table examples this package reproduces.
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 from bisect import bisect_left
@@ -195,12 +196,32 @@ def test_mass_normalization_and_top_cdf():
         assert d.cdf(pts.stop - 1) == 1.0
 
 
+def _mass_and_tails(d):
+    points = d.support().points()
+    return ([d.pdf_or_pmf(k) for k in points], [d.cdf(k) for k in points],
+            [d.sf(k) for k in points])
+
+
 def test_noncentral_odds_one_matches_central():
-    for margins in [(9, 5, 30), (9, 5, 40), (7, 11, 20)]:
-        central = Hypergeometric(*margins)
-        tilted = NoncentralHypergeometric(*margins, odds=1.0)
-        for k in central.support().points():
-            assert tilted.pdf_or_pmf(k) == pytest.approx(central.pdf_or_pmf(k), abs=1e-12)
+    # the central law is the odds-1 noncentral law, float for float
+    rng = random.Random(20260)
+    margins = [(9, 5, 30), (9, 5, 40), (7, 11, 20)]
+    for _ in range(4):
+        total = rng.randint(1, 3000)
+        margins.append((rng.randint(0, total), rng.randint(0, total), total))
+    for m in margins:
+        assert (_mass_and_tails(NoncentralHypergeometric(*m, odds=1.0))
+                == _mass_and_tails(Hypergeometric(*m))), m
+
+
+def test_central_hypergeometric_takes_only_the_margins():
+    assert "odds" not in inspect.signature(Hypergeometric).parameters
+    odds = inspect.signature(NoncentralHypergeometric).parameters["odds"]
+    assert odds.default is inspect.Parameter.empty
+    with pytest.raises(TypeError):
+        NoncentralHypergeometric(9, 5, 30)
+    assert repr(Hypergeometric(9, 5, 30)) == "Hypergeometric(row1=9, col1=5, total=30)"
+    assert Hypergeometric(9, 5, 30) != NoncentralHypergeometric(9, 5, 30, 1.0)
 
 
 def test_noncentral_pmf_against_direct_tilting():

@@ -14,10 +14,11 @@ status and the SHA-256 of the stdout each produced when recorded:
   on a grid (several of them exit 3 with a domain error, recorded as such).
 
 Any change to a printed digit, to the JSON layout or to an exit status
-shows up here. A deliberate change of output is re-recorded in the data
-file, one argv at a time. Each mismatch reports the argv with the recorded
-and the new exit status and SHA-256, so a re-recorded entry can be matched
-against the change that explains it.
+shows up here, and every JSON envelope must parse as strict JSON (no
+``NaN``, ``Infinity`` or ``-Infinity``). A deliberate change of output is
+re-recorded in the data file, one argv at a time. Each mismatch reports
+the argv with the recorded and the new exit status and SHA-256, so a
+re-recorded entry can be matched against the change that explains it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ CORPUS = json.loads((Path(__file__).with_name("golden_cli.json")).read_text(enco
 SAMPLE_TXT = "1.21\n0.37\n2.05\n0.88\n1.64\n0.52\n"
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @pytest.mark.parametrize("group", sorted(CORPUS))
 def test_golden_outputs(group, tmp_path, monkeypatch):
     (tmp_path / "sample.txt").write_text(SAMPLE_TXT, encoding="utf-8")
@@ -47,7 +52,13 @@ def test_golden_outputs(group, tmp_path, monkeypatch):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             status = main(list(record["argv"]))
-        digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+        text = out.getvalue()
+        if text.startswith("{"):
+            try:
+                json.loads(text, parse_constant=_reject_constant)
+            except ValueError as exc:
+                mismatches.append(f"{' '.join(record['argv'])}: not strict JSON: {exc}")
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if (status, digest) != (record["status"], record["sha256"]):
             mismatches.append(
                 f"{' '.join(record['argv'])}: status {record['status']} -> {status}, "

@@ -348,8 +348,10 @@ def test_davis_ordering_t2_t3_t5_identical():
 
 
 def test_davis_ordering_validation():
-    with pytest.raises(ValueError, match="unknown statistic id"):
-        davis_ordering(9, 5, 30, "t9")
+    for margins, which, message in (((9, 5, 30), "t9", "unknown statistic id"),
+                                    ((0, 5, 30), "t1", "degenerate table")):
+        with pytest.raises(ValueError, match=message):
+            davis_ordering(*margins, which)
 
 
 @pytest.mark.parametrize("margins", [(9, 5, 30), (9, 5, 40), (7, 6, 20)])
