@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from ._record import Record
 from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric, TruncatedNormal
 from .pvalue import (
     CONDITIONAL,
@@ -79,8 +79,7 @@ _RHO_REFINE_TOL = 1e-8
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class CriticalRegion:
+class CriticalRegion(Record):
     """Two-sided rejection region {x < c_left or x > c_right}.
 
     anchor is the point A with F(A) = F(c_left)/alpha — the tail split for
@@ -94,8 +93,7 @@ class CriticalRegion:
     anchor: float
 
 
-@dataclass(frozen=True)
-class BiasReport:
+class BiasReport(Record):
     """Minimum power over scale alternatives, relative to the level."""
 
     method: str

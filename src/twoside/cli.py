@@ -30,6 +30,7 @@ import warnings
 from typing import Sequence
 
 from . import analysis, pvalue, stattests
+from ._record import Record
 from .dist import (
     Binomial,
     ChiSquare,
@@ -88,7 +89,7 @@ _BIAS_METHOD_ALIASES = {name: method
                         if method in analysis.BIAS_METHODS}
 
 # what a command handler returns: the command name, the echoed inputs, and
-# either the JSON results (a dict or a result dataclass) or finished CSV text
+# either the JSON results (a dict or a result record) or finished CSV text
 _Payload = tuple[str, dict, object]
 
 
@@ -155,7 +156,8 @@ def _parse_list(text: str, kind: str, context: str) -> list[float | int]:
 def _round_floats(value):
     """Round every float to 10 significant digits, recursively.
 
-    A dataclass becomes the dict of its fields in declaration order.
+    A record (``twoside._record.Record``: a law or a result type) becomes
+    the dict of its fields in declaration order, which ``vars`` gives.
     """
     if isinstance(value, bool):
         return value
@@ -165,7 +167,7 @@ def _round_floats(value):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_round_floats(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):  # ten times cheaper than is_dataclass
+    if isinstance(value, Record):
         return _round_floats(vars(value))
     return value
 

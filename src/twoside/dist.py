@@ -52,12 +52,12 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
 from . import specfun
+from ._record import Record
 
 __all__ = [
     "Support",
@@ -78,8 +78,7 @@ _LN2 = math.log(2.0)
 _MODE_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(Record):
     """Closed support interval; discrete supports are contiguous integers."""
 
     lo: float
@@ -137,8 +136,7 @@ def _check_prob_open(p: float) -> None:
 # continuous families
 
 
-@dataclass(frozen=True)
-class ChiSquare(Distribution):
+class ChiSquare(Distribution, Record):
     """Chi-square with ``df`` degrees of freedom."""
 
     df: int
@@ -182,8 +180,7 @@ class ChiSquare(Distribution):
         return [float(max(self.df - 2, 0))]
 
 
-@dataclass(frozen=True)
-class FRatio(Distribution):
+class FRatio(Distribution, Record):
     """F distribution with ``d1`` numerator and ``d2`` denominator df."""
 
     d1: int
@@ -240,8 +237,7 @@ class FRatio(Distribution):
         return [(self.d1 - 2.0) * self.d2 / (self.d1 * (self.d2 + 2.0))]
 
 
-@dataclass(frozen=True)
-class Uniform(Distribution):
+class Uniform(Distribution, Record):
     """Uniform on [lower, upper]."""
 
     lower: float
@@ -277,8 +273,7 @@ class Uniform(Distribution):
         raise ValueError("the uniform density is flat, so its mode is not unique")
 
 
-@dataclass(frozen=True)
-class Triangular(Distribution):
+class Triangular(Distribution, Record):
     """Asymmetric triangular density on [-left, right] peaking at 0.
 
     ``left`` and ``right`` are the positive distances from the peak to the
@@ -331,8 +326,7 @@ class Triangular(Distribution):
         return [0.0]
 
 
-@dataclass(frozen=True)
-class TruncatedNormal(Distribution):
+class TruncatedNormal(Distribution, Record):
     """Standard normal conditioned on X >= -cutoff, for cutoff > 0.
 
     The mode stays at 0 while the mean shifts right, which makes this a
@@ -527,8 +521,7 @@ class _Discrete(Distribution):
         return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
 
 
-@dataclass(frozen=True)
-class Binomial(_Discrete):
+class Binomial(_Discrete, Record):
     """Binomial with ``n`` trials and success probability ``p``."""
 
     n: int
@@ -552,8 +545,7 @@ class Binomial(_Discrete):
         return self.n * self.p
 
 
-@dataclass(frozen=True)
-class NoncentralHypergeometric(_Discrete):
+class NoncentralHypergeometric(_Discrete, Record):
     """Fisher's noncentral hypergeometric: the count in cell (1,1) of a 2x2
     table with fixed margins when the underlying odds ratio is ``odds``.
 
@@ -588,11 +580,10 @@ class NoncentralHypergeometric(_Discrete):
         return _exact_sum([(t.first + i) * v for i, v in enumerate(t.pmf)])
 
 
-@dataclass(frozen=True)
 class Hypergeometric(NoncentralHypergeometric):
     """The central law, odds 1: the null distribution of Fisher's exact test."""
 
-    odds: float = field(default=1.0, init=False, repr=False)
+    odds = 1.0  # a fixed field: not a constructor argument, not in the repr
 
     def mean(self) -> float:
         return self.row1 * self.col1 / self.total

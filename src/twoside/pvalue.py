@@ -29,9 +29,9 @@ Anchors are resolved by :func:`resolve_anchor` from "mean", "mode",
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from ._record import Record
 from .dist import Distribution, Uniform
 from .roots import brentq
 
@@ -79,8 +79,7 @@ _TIE_TOL = 1e-9
 _ROOT_RTOL = 1e-13
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Record):
     """Tail weights (w_left, w_right).
 
     For the weighted construction they must sum to 1. Conditional tail

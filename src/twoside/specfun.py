@@ -139,7 +139,12 @@ def _lentz_converged(err: float, prev_err: float) -> bool:
 
 
 def _gamma_continued_fraction(a: float, x: float) -> float:
-    # upper tail Q(a,x) by modified Lentz evaluation of the Legendre fraction
+    # upper tail Q(a,x) by modified Lentz evaluation of the Legendre fraction.
+    # Where the prefactor underflows, Q is 0 whatever the fraction: far out
+    # (x >= 2**53) the step b += 2 rounds away and the fraction would stall.
+    scale = math.exp(_gamma_log_scale(a, x))
+    if scale == 0.0:
+        return 0.0
     b = x + 1.0 - a
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
@@ -159,7 +164,7 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
         h *= delta
         err = abs(delta - 1.0)
         if _lentz_converged(err, prev_err):
-            return h * math.exp(_gamma_log_scale(a, x))
+            return h * scale
         prev_err = err
     raise ArithmeticError("regularized gamma continued fraction did not converge")
 

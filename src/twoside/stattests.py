@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import Record
 from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric
 from .pvalue import (
     TailAnchor,
@@ -48,8 +48,7 @@ DAVIS_STATISTIC_IDS = ("t1", "t2", "t3", "t4", "t5", "t6")
 _ORDER_TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Record):
     """A 2x2 table of counts.
 
     Cell (i, j) holds the count n_ij; margins and expected counts are
@@ -111,8 +110,7 @@ class ContingencyTable:
         return (self.n11, self.n12, self.n21, self.n22)[(i - 1) * 2 + (j - 1)]
 
 
-@dataclass(frozen=True)
-class DavisStatistics:
+class DavisStatistics(Record):
     """The six classical two-sided orderings of a 2x2 table.
 
     t1: negative null probability of the table (probability ordering)
@@ -136,8 +134,7 @@ class DavisStatistics:
         return getattr(self, which)
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     """Outcome of a test: the statistic and its p-values.
 
     p_left and p_right are the one-sided tail probabilities (inclusive of
@@ -195,6 +192,9 @@ def variance_test(s2: float, n: int, sigma0_sq: float, *, anchor: TailAnchor = "
     if not (sigma0_sq > 0.0) or not math.isfinite(sigma0_sq):
         raise ValueError(f"null variance must be positive, got {sigma0_sq!r}")
     statistic = (n - 1) * s2 / sigma0_sq
+    if not math.isfinite(statistic):
+        raise ValueError(f"the statistic (n - 1) * s2 / sigma0_sq overflows for n={n}, "
+                         f"s2={s2!r}, sigma0_sq={sigma0_sq!r}")
     return _report(ChiSquare(n - 1), statistic, anchor, methods)
 
 
@@ -223,7 +223,11 @@ def f_test(s1_sq: float, n1: int, s2_sq: float, n2: int, *, anchor: TailAnchor =
     for name, v in (("s1_sq", s1_sq), ("s2_sq", s2_sq)):
         if not (v > 0.0) or not math.isfinite(v):
             raise ValueError(f"{name} must be positive, got {v!r}")
-    return _report(FRatio(n1 - 1, n2 - 1), s1_sq / s2_sq, anchor, methods)
+    statistic = s1_sq / s2_sq
+    if not math.isfinite(statistic):
+        raise ValueError(f"the statistic s1_sq / s2_sq overflows for s1_sq={s1_sq!r}, "
+                         f"s2_sq={s2_sq!r}")
+    return _report(FRatio(n1 - 1, n2 - 1), statistic, anchor, methods)
 
 
 def binomial_test(x: int, n: int, p0: float, *, anchor: TailAnchor = "mean",

@@ -8,7 +8,6 @@ the library call serialized the same way (bit-for-bit round-trip).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -44,7 +43,8 @@ def test_round_floats_gives_a_report_its_fields_in_order():
         p_two_sided={"doubled": 0.2000000000000002}, direction="left")
     out = cli._round_floats({"truncate": True, "report": report})
     assert out["truncate"] is True
-    assert list(out["report"]) == [f.name for f in dataclasses.fields(report)]
+    # the declared field order of the record class
+    assert list(out["report"]) == list(stattests.TestReport.__annotations__)
     assert out["report"] == {
         "statistic": 1.23456789,
         "anchor": 5.0,
@@ -488,6 +488,21 @@ def test_non_finite_x_exits_three(capsys, law, x):
     assert err == f"error: x must be finite, got {float(x)!r}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("test", "f", "--s1sq", "1e308", "--n1", "5", "--s2sq", "1e-308", "--n2", "6"),
+     "the statistic s1_sq / s2_sq overflows for s1_sq=1e+308, s2_sq=1e-308"),
+    (("test", "f", "--s1sq", "0.5", "--n1", "1000", "--s2sq", "5e-324", "--n2", "1000"),
+     "the statistic s1_sq / s2_sq overflows for s1_sq=0.5, s2_sq=5e-324"),
+    (("test", "variance", "--s2", "1e308", "--n", "5", "--sigma0sq", "1e-308"),
+     "the statistic (n - 1) * s2 / sigma0_sq overflows for n=5, s2=1e+308, sigma0_sq=1e-308"),
+], ids=["f-huge-over-tiny", "f-over-subnormal", "variance-huge-over-tiny"])
+def test_overflowing_statistic_exits_three(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_numerical_failure_exits_four(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise ArithmeticError("series did not converge")
@@ -586,6 +601,22 @@ def test_import_builds_no_parser():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout == "0\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # modules that site already loaded in a bare interpreter do not count
+    probe = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import twoside.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n"
+    )
+    src = str(Path(twoside.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_data_file_errors(capsys, tmp_path):

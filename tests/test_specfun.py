@@ -216,6 +216,16 @@ def test_reg_gamma_large_shape_vs_mpmath(a, x, p_ref, q_ref):
     assert reg_gamma_upper(a, x) == pytest.approx(q_ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("a, x", [(0.5, 2e16), (0.5, 1e21), (0.5, 1e30), (50.0, 1e21),
+                                  (5000.0, 5e19), (1e4, 1e18), (1e6, 1e19), (5e6, 1e20)])
+def test_reg_gamma_far_upper_tail_is_zero(a, x):
+    # the prefactor x^a e^-x / Gamma(a) underflows; with x >= 2**53 the
+    # fraction's step b += 2 rounds away, and all but the first of these
+    # used to run to the iteration cap and raise ArithmeticError
+    assert reg_gamma_upper(a, x) == 0.0
+    assert reg_gamma_lower(a, x) == 1.0
+
+
 @pytest.mark.parametrize("args", [(-1.0, 1.0), (0.0, 1.0), (2.5, -0.5), (math.nan, 1.0), (2.5, math.nan)])
 def test_reg_gamma_domain(args):
     with pytest.raises(ValueError):

@@ -150,6 +150,21 @@ def test_f_test_validation():
     assert f_test(1.0, 6, 1.0, 3, anchor="median").statistic == 1.0
 
 
+@pytest.mark.parametrize("test, args, message", [
+    (variance_test, (1e308, 5, 1e-308),
+     "the statistic (n - 1) * s2 / sigma0_sq overflows for n=5, s2=1e+308, sigma0_sq=1e-308"),
+    (f_test, (1e308, 5, 1e-308, 6),
+     "the statistic s1_sq / s2_sq overflows for s1_sq=1e+308, s2_sq=1e-308"),
+    (f_test, (0.5, 1000, 5e-324, 1000),
+     "the statistic s1_sq / s2_sq overflows for s1_sq=0.5, s2_sq=5e-324"),
+], ids=["variance-huge-over-tiny", "f-huge-over-tiny", "f-over-subnormal"])
+def test_an_overflowing_statistic_is_a_domain_error(test, args, message):
+    # finite inputs whose ratio overflows: the kernels would get inf
+    with pytest.raises(ValueError) as raised:
+        test(*args)
+    assert str(raised.value) == message
+
+
 # ---------------------------------------------------------------------------
 # binomial test
 
