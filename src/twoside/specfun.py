@@ -12,11 +12,17 @@ safeguarded by a maintained bracket, falling back to bisection whenever a
 Newton step would leave it.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently.
+concurrently, so the incomplete gamma/beta kernels ``reg_gamma_lower``,
+``reg_gamma_upper``, ``reg_beta``, ``inv_reg_gamma_lower`` and ``inv_reg_beta``
+are memoized per process (a ``functools.lru_cache`` of ``_KERNEL_CACHE_SIZE``
+entries each, keyed by value and type; errors are not cached; ``cache_info()``
+counts hits and misses). A one-shot ``twoside`` call reuses only repeats
+within its command, a long-lived process also those of earlier commands.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Callable
@@ -45,6 +51,9 @@ _MAX_ITER = 200
 
 # shape from which the incomplete gamma prefactor uses the Stirling form
 _LARGE_SHAPE = 100.0
+
+_KERNEL_CACHE_SIZE = 1024  # entries kept by each memoized kernel
+_memoized = functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE, typed=True)
 
 
 def log_choose(n: int, k: int) -> float:
@@ -169,6 +178,7 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     raise ArithmeticError("regularized gamma continued fraction did not converge")
 
 
+@_memoized
 def reg_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x)."""
     _check_gamma_args(a, x)
@@ -179,6 +189,7 @@ def reg_gamma_lower(a: float, x: float) -> float:
     return 1.0 - _gamma_continued_fraction(a, x)
 
 
+@_memoized
 def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x)."""
     _check_gamma_args(a, x)
@@ -233,6 +244,7 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
     raise ArithmeticError("regularized beta continued fraction did not converge")
 
 
+@_memoized
 def reg_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
@@ -278,6 +290,7 @@ def _newton_in_bracket(f: Callable[[float], float], log_pdf: Callable[[float], f
     return x
 
 
+@_memoized
 def inv_reg_gamma_lower(a: float, p: float) -> float:
     """Inverse of ``reg_gamma_lower`` in x: returns x with P(a, x) = p.
 
@@ -313,6 +326,7 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
                               x, lo, hi)
 
 
+@_memoized
 def inv_reg_beta(p: float, a: float, b: float) -> float:
     """Inverse of ``reg_beta`` in x: returns x in [0, 1] with I_x(a, b) = p."""
     if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:

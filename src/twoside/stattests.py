@@ -192,6 +192,8 @@ def variance_test(s2: float, n: int, sigma0_sq: float, *, anchor: TailAnchor = "
     if not (sigma0_sq > 0.0) or not math.isfinite(sigma0_sq):
         raise ValueError(f"null variance must be positive, got {sigma0_sq!r}")
     statistic = (n - 1) * s2 / sigma0_sq
+    if not math.isfinite(statistic):  # (n - 1) * s2 alone may overflow
+        statistic = (n - 1) * (s2 / sigma0_sq)
     if not math.isfinite(statistic):
         raise ValueError(f"the statistic (n - 1) * s2 / sigma0_sq overflows for n={n}, "
                          f"s2={s2!r}, sigma0_sq={sigma0_sq!r}")

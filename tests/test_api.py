@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import twoside
-from twoside import analysis, dist, pvalue, specfun, stattests
+from twoside import analysis, cli, dist, pvalue, specfun, stattests
 
 # twoside.__all__ of version 0.1.0 before the conditional p-value became one
 # function and the unused power-curve and accuracy API was removed
@@ -45,17 +47,47 @@ def test_earlier_exports_kept_except_the_removed_ones():
         assert not hasattr(specfun, name)
 
 
-def test_every_traced_function_exists():
-    # ``bench/run.py --trace 1`` stops at the first name in the tracer's list
-    # that the package no longer defines
+def _load_tracer():
     path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_function_exists():
+    # ``bench/run.py --trace 1`` stops at the first name in the tracer's list
+    # that the package no longer defines
+    tracer = _load_tracer()
     for layer, functions, _ in tracer.TRACED:
         module = importlib.import_module(f"twoside.{layer}")
         for fn in functions:
             assert callable(getattr(module, fn, None)), f"twoside.{layer}.{fn}"
+
+
+def test_tracer_wraps_the_memoized_kernels_and_counts_cache_hits():
+    # the tracer rebinds each kernel's module global around its memo, so
+    # calls served from the memo are counted and uninstall restores the memo
+    memo = specfun.inv_reg_gamma_lower
+    memo.cache_clear()
+    argv = ["analyze", "umpu", "--dist", "chisq:7", "--alpha", "0.05"]
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+            calls = tracer.metrics()["specfun.inv_reg_gamma_lower.calls"]
+            misses = memo.cache_info().misses
+            assert cli.main(argv) == 0
+        assert tracer.unwrapped_references() == []
+        assert calls > 0
+        assert tracer.metrics()["specfun.inv_reg_gamma_lower.calls"] == 2 * calls
+        assert memo.cache_info().misses == misses
+    finally:
+        tracer.uninstall()
+    assert tracer.leftover_wrappers() == []
+    assert specfun.inv_reg_gamma_lower is memo
+    assert callable(specfun.inv_reg_gamma_lower.cache_info)
 
 
 def test_package_imports_only_the_standard_library():

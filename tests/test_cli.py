@@ -503,6 +503,17 @@ def test_overflowing_statistic_exits_three(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_representable_variance_statistic_exits_zero(capsys):
+    # 2 * 1.7e308 overflows, 1.7e308 / 2 * 2 does not
+    code, out, err = run(capsys, "test", "variance", "--s2", "1.7e308", "--n", "3",
+                         "--sigma0sq", "2")
+    assert code == 0
+    assert err == ""
+    results = json.loads(out)["results"]
+    assert results["statistic"] == 1.7e308
+    assert results["p_right"] == 0.0
+
+
 def test_numerical_failure_exits_four(capsys, monkeypatch):
     def diverge(*args, **kwargs):
         raise ArithmeticError("series did not converge")

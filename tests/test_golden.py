@@ -19,6 +19,10 @@ shows up here, and every JSON envelope must parse as strict JSON (no
 re-recorded in the data file, one argv at a time. Each mismatch reports
 the argv with the recorded and the new exit status and SHA-256, so a
 re-recorded entry can be matched against the change that explains it.
+
+The whole corpus is also replayed in one process in two other orders, so
+output that depends on what an earlier request left in a per-process cache
+shows up too.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -43,12 +48,12 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not valid JSON")
 
 
-@pytest.mark.parametrize("group", sorted(CORPUS))
-def test_golden_outputs(group, tmp_path, monkeypatch):
+def _replay(records, tmp_path, monkeypatch) -> list[str]:
+    """Serve each record's argv in turn; describe every mismatch."""
     (tmp_path / "sample.txt").write_text(SAMPLE_TXT, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     mismatches = []
-    for record in CORPUS[group]:
+    for record in records:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             status = main(list(record["argv"]))
@@ -64,5 +69,24 @@ def test_golden_outputs(group, tmp_path, monkeypatch):
                 f"{' '.join(record['argv'])}: status {record['status']} -> {status}, "
                 f"sha256 {record['sha256']} -> {digest}"
             )
+    return mismatches
+
+
+@pytest.mark.parametrize("group", sorted(CORPUS))
+def test_golden_outputs(group, tmp_path, monkeypatch):
+    mismatches = _replay(CORPUS[group], tmp_path, monkeypatch)
     assert not mismatches, f"{len(mismatches)} golden mismatch(es):\n" + "\n".join(mismatches)
 
+
+@pytest.mark.parametrize("order", ["shuffled", "reversed"])
+def test_golden_outputs_do_not_depend_on_earlier_requests(order, tmp_path, monkeypatch):
+    # one process serves every entry of every group, in an order unlike the
+    # recording's, so a per-process cache (the special-function memo, the
+    # discrete-table cache) that leaked state into an output would show here
+    records = [record for group in sorted(CORPUS) for record in CORPUS[group]]
+    if order == "shuffled":
+        random.Random(20080).shuffle(records)
+    else:
+        records.reverse()
+    mismatches = _replay(records, tmp_path, monkeypatch)
+    assert not mismatches, f"{len(mismatches)} golden mismatch(es):\n" + "\n".join(mismatches)

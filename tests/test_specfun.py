@@ -11,11 +11,16 @@ closed-form arithmetic.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside import specfun
+from twoside.cli import main
 from twoside.specfun import (
     inv_reg_beta,
     inv_reg_gamma_lower,
@@ -417,3 +422,114 @@ def test_norm_quantile_known_points():
 def test_norm_cdf_rejects_non_finite():
     with pytest.raises(ValueError):
         norm_cdf(math.nan)
+
+
+# ---------------------------------------------------------------------------
+# per-process memo of the incomplete gamma/beta kernels
+
+MEMOIZED = (reg_gamma_lower, reg_gamma_upper, reg_beta, inv_reg_gamma_lower, inv_reg_beta)
+
+
+def _memo_grid(seed: int = 2008) -> dict:
+    """Distinct arguments per kernel: shapes log-uniform in [0.2, 50] and in
+    [500, 3000] (the large-shape regime), points on both sides of the
+    series/fraction switch, and every integer-valued shape both as an int and
+    as a float with the same other arguments."""
+    rng = random.Random(seed)
+    grid = {kernel.__name__: {} for kernel in MEMOIZED}
+
+    def add(name, *args):
+        # keyed as the memo keys them, so a repeated draw is dropped
+        grid[name].setdefault(tuple((type(v), v) for v in args), args)
+
+    def shape(lo, hi, rounded):
+        a = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        return max(1, round(a)) if rounded else a
+
+    for lo, hi in ((0.2, 50.0), (500.0, 3000.0)):
+        for _ in range(16):
+            rounded = rng.random() < 0.5
+            a, b = shape(lo, hi, rounded), shape(lo, hi, rounded)
+            x = max(1e-3, a + rng.gauss(0.0, 3.0) * math.sqrt(a))
+            sd = math.sqrt(a * b / (a + b + 1.0)) / (a + b)
+            y = min(1.0 - 1e-6, max(1e-6, a / (a + b) + rng.gauss(0.0, 3.0) * sd))
+            p = rng.choice((1e-10, rng.uniform(0.001, 0.999)))
+            for s, t in ((float(a), float(b)), (a, b)):
+                add("reg_gamma_lower", s, x)
+                add("reg_gamma_upper", s, x)
+                add("inv_reg_gamma_lower", s, p)
+                add("reg_beta", y, s, t)
+                add("inv_reg_beta", p, s, t)
+    return {name: list(points.values()) for name, points in grid.items()}
+
+
+MEMO_GRID = _memo_grid()
+
+
+def test_memo_grid_covers_every_regime():
+    gamma = MEMO_GRID["reg_gamma_lower"]
+    beta = MEMO_GRID["reg_beta"]
+    assert any(x < a + 1.0 for a, x in gamma) and any(x >= a + 1.0 for a, x in gamma)
+    assert any(x < (a + 1.0) / (a + b + 2.0) for x, a, b in beta)
+    assert any(x >= (a + 1.0) / (a + b + 2.0) for x, a, b in beta)
+    for name, points in MEMO_GRID.items():
+        shapes = [v for args in points for v in (args[1:] if "beta" in name else args[:1])]
+        assert any(v >= 500 for v in shapes), name
+        assert any(isinstance(v, int) for v in shapes), name
+        assert any(isinstance(v, float) and v == int(v) for v in shapes), name
+
+
+def _bits(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+@pytest.mark.parametrize("kernel", MEMOIZED, ids=lambda k: k.__name__)
+def test_memo_returns_the_bits_of_the_kernel(kernel):
+    grid = MEMO_GRID[kernel.__name__]
+    expected = _bits(kernel.__wrapped__(*args) for args in grid)
+    for order in (grid, grid[::-1]):
+        kernel.cache_clear()
+        want = expected if order is grid else expected[::-1]
+        assert _bits(kernel(*args) for args in order) == want  # cold
+        # typed: an int shape is its own entry, never the float shape's bits
+        assert kernel.cache_info().misses == len(grid)
+        assert _bits(kernel(*args) for args in order) == want  # warm
+        assert _bits(kernel(*args) for args in order[::-1]) == want[::-1]
+        assert kernel.cache_info().hits == 2 * len(grid)
+
+
+def test_each_memo_is_bounded_by_the_constant():
+    for kernel in MEMOIZED:
+        assert kernel.cache_info().maxsize == specfun._KERNEL_CACHE_SIZE
+        assert kernel.cache_parameters()["typed"] is True
+
+
+@pytest.mark.parametrize("kernel, args, error", [
+    (reg_gamma_lower, (-1.0, 1.0), ValueError),
+    (reg_gamma_upper, (2.0, math.inf), ValueError),
+    (reg_beta, (0.5, 500000.0, 500000.0), ArithmeticError),
+    (inv_reg_gamma_lower, (3.0, 1.0), ValueError),
+    (inv_reg_beta, (0.5, 2.0, 0.0), ValueError),
+], ids=["gamma-lower-shape", "gamma-upper-argument", "beta-fraction", "inverse-gamma-p",
+        "inverse-beta-shape"])
+def test_a_raising_call_is_not_memoized(kernel, args, error):
+    size = kernel.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as raised:
+            kernel(*args)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+    assert kernel.cache_info().currsize == size
+
+
+def test_bias_after_umpu_on_the_same_law_solves_no_new_quantile():
+    for kernel in MEMOIZED:
+        kernel.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["analyze", "umpu", "--dist", "chisq:5", "--alpha", "0.05"]) == 0
+        misses = inv_reg_gamma_lower.cache_info().misses
+        assert main(["analyze", "bias", "--dist", "chisq:5", "--method", "umpu",
+                     "--alpha", "0.05"]) == 0
+    assert misses > 0
+    assert inv_reg_gamma_lower.cache_info().misses == misses

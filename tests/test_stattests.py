@@ -165,6 +165,20 @@ def test_an_overflowing_statistic_is_a_domain_error(test, args, message):
     assert str(raised.value) == message
 
 
+def test_variance_statistic_survives_an_overflowing_product():
+    # (n - 1) * s2 overflows but the statistic is representable: the ratio
+    # is taken first instead, and the test goes on
+    r = variance_test(1.7e308, 3, 2.0)
+    assert r.statistic == 1.7e308
+    assert r.p_right == 0.0
+    for p in (r.p_left, r.p_right, *r.p_two_sided.values()):
+        assert 0.0 <= p <= 1.0
+    # a finite product keeps the bits of the original expression
+    for s2, n, sigma0_sq in [(0.2, 6, 1.0), (1.05, 2001, 1.0), (3.7e-300, 17, 9e-301),
+                             (8.9e307, 2, 0.5), (1.3, 10_000_000, 7.1)]:
+        assert variance_test(s2, n, sigma0_sq).statistic == (n - 1) * s2 / sigma0_sq
+
+
 # ---------------------------------------------------------------------------
 # binomial test
 
