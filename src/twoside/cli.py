@@ -22,11 +22,11 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import analysis, pvalue, stattests
@@ -153,23 +153,47 @@ def _parse_list(text: str, kind: str, context: str) -> list[float | int]:
     return [_parse_number(tok, kind, context) for tok in text.split(",")]
 
 
-def _round_floats(value):
-    """Round every float to 10 significant digits, recursively.
+def _json(value, indent: str = "\n") -> str:
+    """Render ``value`` as JSON with every float rounded to 10 significant digits.
 
-    A record (``twoside._record.Record``: a law or a result type) becomes
-    the dict of its fields in declaration order, which ``vars`` gives.
+    The bytes are those of ``json.dumps(value, indent=2, allow_nan=False)``
+    on a copy with the floats rounded, written in one pass: ``indent`` is the
+    newline and indentation of the current level. A record
+    (``twoside._record.Record``: a law or a result type) becomes the object
+    of its fields in declaration order, which ``vars`` gives. A float that is
+    not finite once rounded raises the ``ValueError`` that ``json`` raises.
     """
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
-        return float(f"{value:.10g}")
-    if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v) for v in value]
+        rounded = float(f"{value:.10g}")
+        if not math.isfinite(rounded):
+            raise ValueError("Out of range float values are not JSON compliant: "
+                             + repr(rounded))
+        return repr(rounded)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, Record):
-        return _round_floats(vars(value))
-    return value
+        value = vars(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return ("{" + inner
+                + ("," + inner).join([encode_basestring_ascii(k) + ": " + _json(v, inner)
+                                      for k, v in value.items()])
+                + indent + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _format_cell(value) -> str:
@@ -193,12 +217,11 @@ def _render_json(command: str, inputs: dict, results, warning_list: list[str]) -
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "inputs": _round_floats(inputs),
-        "results": _round_floats(results),
+        "inputs": inputs,
+        "results": results,
         "warnings": warning_list,
     }
-    # strict JSON: a NaN or an infinity raises ValueError instead of printing
-    return json.dumps(envelope, indent=2, allow_nan=False) + "\n"
+    return _json(envelope) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:

@@ -352,6 +352,12 @@ class TruncatedNormal(Distribution, Record):
         lo = specfun.norm_cdf(-self.cutoff)
         return (specfun.norm_cdf(x) - lo) / (1.0 - lo)
 
+    def sf(self, x: float) -> float:
+        # the upper tail of Z directly: 1 - cdf(x) cancels once cdf(x) nears 1
+        if x <= -self.cutoff:
+            return 1.0
+        return specfun.norm_cdf(-x) / self._tail_mass()
+
     def pdf_or_pmf(self, x: float) -> float:
         if x < -self.cutoff:
             return 0.0

@@ -48,6 +48,7 @@ _TINY = 1e-300
 # anything the statistical layer reports, and an iteration cap.
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+_MAX_DOUBLINGS = 600  # of the upper end when bracketing an inverse
 
 # shape from which the incomplete gamma prefactor uses the Stirling form
 _LARGE_SHAPE = 100.0
@@ -123,14 +124,16 @@ def _gamma_series(a: float, x: float) -> float:
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_max_iter(a)):
+    cap = _max_iter(a)
+    for _ in range(cap):
         denom += 1.0
         term *= x / denom
         total += term
         q = x / (denom + 1.0)
         if q < 1.0 and term * q / (1.0 - q) < abs(total) * (_REL_TOL / 16.0):
             return total * math.exp(_gamma_log_scale(a, x))
-    raise ArithmeticError("regularized gamma series did not converge")
+    raise ArithmeticError(f"regularized gamma series did not converge in {cap} iterations "
+                          f"for a={a!r}, x={x!r}")
 
 
 def _lentz_converged(err: float, prev_err: float) -> bool:
@@ -159,7 +162,8 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
     d = 1.0 / b if abs(b) >= _TINY else 1.0 / _TINY
     h = d
     prev_err = math.inf
-    for i in range(1, _max_iter(a) + 1):
+    cap = _max_iter(a)
+    for i in range(1, cap + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -175,7 +179,8 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
         if _lentz_converged(err, prev_err):
             return h * scale
         prev_err = err
-    raise ArithmeticError("regularized gamma continued fraction did not converge")
+    raise ArithmeticError(f"regularized gamma continued fraction did not converge in {cap} "
+                          f"iterations for a={a!r}, x={x!r}")
 
 
 @_memoized
@@ -241,7 +246,8 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
         if _lentz_converged(err, prev_err):
             return h
         prev_err = err
-    raise ArithmeticError("regularized beta continued fraction did not converge")
+    raise ArithmeticError(f"regularized beta continued fraction did not converge in "
+                          f"{_MAX_ITER} iterations for x={x!r}, a={a!r}, b={b!r}")
 
 
 @_memoized
@@ -304,13 +310,14 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
 
     lo = 0.0
     hi = a + 10.0 * math.sqrt(a) + 10.0
-    for _ in range(600):
+    for _ in range(_MAX_DOUBLINGS):
         if reg_gamma_lower(a, hi) >= p:
             break
         lo = hi
         hi *= 2.0
     else:
-        raise ArithmeticError("failed to bracket the inverse incomplete gamma")
+        raise ArithmeticError(f"failed to bracket the inverse incomplete gamma in "
+                              f"{_MAX_DOUBLINGS} doublings for a={a!r}, p={p!r}")
 
     # Wilson-Hilferty start, falling back to the small-x power-law start
     z = norm_quantile(p)

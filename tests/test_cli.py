@@ -10,15 +10,18 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twoside
 from twoside import analysis, cli, pvalue, stattests
+from twoside._record import Record
 from twoside.cli import main
 from twoside.dist import ChiSquare, FRatio
 
@@ -35,13 +38,110 @@ def round10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-def test_round_floats_gives_a_report_its_fields_in_order():
+def _round_floats(value):
+    # the reference for cli._json: a copy with every float rounded, which
+    # json.dumps(indent=2, allow_nan=False) then writes
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.10g}")
+    if isinstance(value, dict):
+        return {k: _round_floats(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round_floats(v) for v in value]
+    if isinstance(value, Record):
+        return _round_floats(vars(value))
+    return value
+
+
+def _rendered(render, value) -> tuple[str, str]:
+    try:
+        return "text", render(value)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def _assert_renders_like_the_reference(value):
+    expected = _rendered(lambda v: json.dumps(_round_floats(v), indent=2, allow_nan=False),
+                         value)
+    assert _rendered(cli._json, value) == expected
+
+
+_STRINGS = ["", "plain", 'say "hi"', "back\\slash", "tab\tnew\nline\r", "\x00\x1f\x7f",
+            "caf\u00e9", "\u2028\u2029", "\U0001f600", "\ud800 lone surrogate", "/ <>&'"]
+
+_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-323, 2.225073858507201e-308, 2.2250738585072014e-308,
+    1.7976931344e308, -1.7976931344e308, 1e-310, 1.2345678901234e-320,
+    # repr switches to exponent form below 1e-4 and from 1e16 on
+    1e-4, 9.99999999999e-5, 1.00000000005e-4, 1e-5, 9.9999999995e-5, 0.000123456789012,
+    1e16, 9999999999999998.0, 9999999999.5, 1e15 + 0.3, 12345678901234567.0,
+    # .10g switches to exponent form from 1e10 on
+    1e10, 9999999999.0, 9999999999.4, 10000000001.0, 123456789012.0,
+    # ties at the 11th significant digit: exact in binary, or just either side
+    10000000005.0, 10000000015.0, 99999999995.0, 12345678905.0, 1.00000000005,
+    0.12345678905, 2.5000000005e-5, 0.30000000000000004, 1 / 3, -2 / 3, 2.0 ** -1074 * 3,
+]
+
+
+def test_json_matches_the_reference_on_edge_values():
+    for value in _FLOATS:
+        _assert_renders_like_the_reference(value)
+        _assert_renders_like_the_reference([value, {"v": value}])
+    for text in _STRINGS:
+        _assert_renders_like_the_reference({text: text, "list": [text]})
+    for value in [2**63, 2**64 + 1, -(2**100), 0, -1, True, False, None, [], {}, (), [[]],
+                  {"e": {}}, ([], ()), [True, 1, 1.0, None, "1"]]:
+        _assert_renders_like_the_reference(value)
+        _assert_renders_like_the_reference({"v": value, "w": [value, value]})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.7976931345e308,
+                                   1.7976931348623157e308, -1.7976931348623157e308])
+def test_json_rejects_a_non_finite_float_like_the_reference(value):
+    # floats from 1.7976931345e308 up round to infinity at 10 significant digits
+    for wrapped in (value, [1.0, value], {"a": {"b": [value]}}):
+        kind, message = _rendered(cli._json, wrapped)
+        assert kind == "ValueError"
+        assert message.startswith("Out of range float values are not JSON compliant: ")
+        _assert_renders_like_the_reference(wrapped)
+
+
+def test_json_renders_nested_records_like_the_reference():
+    report = stattests.TestReport(
+        statistic=12.3456789012345, anchor=4.0,
+        weights=pvalue.Weights(0.4158801869955079, 0.5841198130044921),
+        p_left=1e-17, p_right=1.0, p_two_sided={"doubled": 2e-17, "conditional": 1.5e-17},
+        direction="left")
+    bias = analysis.BiasReport(method="umpu", level=0.05, min_power=0.05000000000000001,
+                               bias=-1.3877787807814457e-17, argmin_rho=1.0)
+    _assert_renders_like_the_reference({"report": report, "rows": [bias, (bias, report)]})
+
+
+_json_leaves = (st.floats() | st.integers() | st.booleans() | st.none()
+                | st.text() | st.sampled_from(_FLOATS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    _json_leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=4)
+                      | st.builds(analysis.BiasReport, st.text(), children, children,
+                                  children, children)),
+    max_leaves=24))
+def test_json_matches_the_reference_on_nested_values(value):
+    _assert_renders_like_the_reference(value)
+
+
+def test_json_gives_a_report_its_fields_in_order():
     report = stattests.TestReport(
         statistic=1.23456789012345, anchor=5.0,
         weights=pvalue.Weights(0.4158801869955079, 0.5841198130044921),
         p_left=0.1, p_right=0.9000000000000001,
         p_two_sided={"doubled": 0.2000000000000002}, direction="left")
-    out = cli._round_floats({"truncate": True, "report": report})
+    out = json.loads(cli._json({"truncate": True, "report": report}))
     assert out["truncate"] is True
     # the declared field order of the record class
     assert list(out["report"]) == list(stattests.TestReport.__annotations__)
@@ -524,6 +624,17 @@ def test_numerical_failure_exits_four(capsys, monkeypatch):
     assert code == 4
     assert err == "error: numerical failure: series did not converge\n"
     assert out == ""
+
+
+def test_numerical_failure_names_the_kernel_arguments_and_cap(capsys):
+    # shapes of 500000 are past what the beta continued fraction reaches in 200 terms
+    code, out, err = run(capsys, "test", "f", "--s1sq", "1.1", "--n1", "1000001",
+                         "--s2sq", "1", "--n2", "1000001")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: numerical failure: regularized beta continued fraction "
+                          "did not converge in 200 iterations for x=")
+    assert err.endswith(", a=500000.0, b=500000.0\n")
 
 
 def test_large_df_variance_test_succeeds(capsys):

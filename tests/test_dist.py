@@ -100,6 +100,24 @@ def test_truncated_normal_golden_values():
     assert math.isinf(d.support().hi)
 
 
+@pytest.mark.parametrize("x, ref", [
+    # P(Z >= x) / P(Z >= -0.5) for a standard normal Z, mpmath at 40 digits
+    (5.0, 4.1455840039536069297e-07),
+    (8.0, 8.9968160568105498831e-16),
+    (8.3, 7.5283475769589003614e-17),
+    (30.0, 7.0961392728502030908e-198),
+])
+def test_truncated_normal_upper_tail_against_high_precision_reference(x, ref):
+    # 1 - cdf(x) would give 9.99e-16 at x = 8 and 0.0 at x = 8.3
+    assert TruncatedNormal(0.5).sf(x) == pytest.approx(ref, rel=1e-12)
+
+
+def test_truncated_normal_sf_is_one_up_to_the_cutoff():
+    d = TruncatedNormal(0.5)
+    assert d.sf(-0.5) == 1.0
+    assert d.sf(-3.0) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # discrete conventions: floor cdf, inclusive ceil sf, quantile
 

@@ -14,11 +14,13 @@ status and the SHA-256 of the stdout each produced when recorded:
   on a grid (several of them exit 3 with a domain error, recorded as such).
 
 Any change to a printed digit, to the JSON layout or to an exit status
-shows up here, and every JSON envelope must parse as strict JSON (no
-``NaN``, ``Infinity`` or ``-Infinity``). A deliberate change of output is
-re-recorded in the data file, one argv at a time. Each mismatch reports
-the argv with the recorded and the new exit status and SHA-256, so a
-re-recorded entry can be matched against the change that explains it.
+shows up here. Every JSON envelope must parse as strict JSON (no
+``NaN``, ``Infinity`` or ``-Infinity``) and be written exactly as
+``json.dumps(indent=2)`` writes what it parses to, so a re-recording cannot
+bring in another layout. A deliberate change of output is re-recorded in
+the data file, one argv at a time. Each mismatch reports the argv with the
+recorded and the new exit status and SHA-256, so a re-recorded entry can be
+matched against the change that explains it.
 
 The whole corpus is also replayed in one process in two other orders, so
 output that depends on what an earlier request left in a per-process cache
@@ -60,9 +62,13 @@ def _replay(records, tmp_path, monkeypatch) -> list[str]:
         text = out.getvalue()
         if text.startswith("{"):
             try:
-                json.loads(text, parse_constant=_reject_constant)
+                parsed = json.loads(text, parse_constant=_reject_constant)
             except ValueError as exc:
                 mismatches.append(f"{' '.join(record['argv'])}: not strict JSON: {exc}")
+            else:
+                if text != json.dumps(parsed, indent=2, allow_nan=False) + "\n":
+                    mismatches.append(f"{' '.join(record['argv'])}: not in the layout "
+                                      "json.dumps(indent=2) gives")
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         if (status, digest) != (record["status"], record["sha256"]):
             mismatches.append(

@@ -523,6 +523,24 @@ def test_a_raising_call_is_not_memoized(kernel, args, error):
     assert kernel.cache_info().currsize == size
 
 
+def test_non_convergence_names_the_kernel_arguments_and_cap(monkeypatch):
+    # caps lowered so that each gamma kernel gives up on an ordinary argument
+    monkeypatch.setattr(specfun, "_max_iter", lambda a: 2)
+    with pytest.raises(ArithmeticError) as raised:
+        specfun._gamma_series(5.0, 3.0)
+    assert str(raised.value) == ("regularized gamma series did not converge in 2 iterations "
+                                 "for a=5.0, x=3.0")
+    with pytest.raises(ArithmeticError) as raised:
+        specfun._gamma_continued_fraction(5.0, 8.0)
+    assert str(raised.value) == ("regularized gamma continued fraction did not converge in 2 "
+                                 "iterations for a=5.0, x=8.0")
+    monkeypatch.setattr(specfun, "_MAX_DOUBLINGS", 0)
+    with pytest.raises(ArithmeticError) as raised:
+        inv_reg_gamma_lower.__wrapped__(3.0, 0.5)
+    assert str(raised.value) == ("failed to bracket the inverse incomplete gamma in 0 doublings "
+                                 "for a=3.0, p=0.5")
+
+
 def test_bias_after_umpu_on_the_same_law_solves_no_new_quantile():
     for kernel in MEMOIZED:
         kernel.cache_clear()
