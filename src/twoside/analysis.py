@@ -10,19 +10,17 @@ power derivative at the null), the acceptance region of the
 minimum-likelihood p-value, and the tabular/figure series summarizing all
 of it for the binomial and hypergeometric test families.
 
-The bias minimum over rho is also in closed form for both variance
-families: the power F(rho*c_L) + S(rho*c_R) is stationary where
+The UMPU weight and the bias are defined for the two variance families,
+chi-square and F, and for no other law. Their bias minimum over rho is in
+closed form: the power F(rho*c_L) + S(rho*c_R) is stationary where
 c_L f(rho*c_L) = c_R f(rho*c_R), which for chi-square and F has exactly one
-root (see :func:`bias`). The other continuous families the command line
-accepts (uniform, triangular, truncated normal) keep a 400-point log grid
-over rho in [e^-4, e^4] with golden-section refinement.
+root (see :func:`bias`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._record import Record
 from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric, TruncatedNormal
@@ -69,14 +67,9 @@ TABLE1_PS = (0.1, 0.2)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
-# bias minimization range over rho; families without a closed-form argmin
-# search it on a coarse log-grid, then refine by golden section
+# bias minimization range over rho: the closed-form argmin is clamped to it
 _RHO_LOG_LO = -4.0
 _RHO_LOG_HI = 4.0
-_RHO_GRID_POINTS = 400
-_RHO_REFINE_TOL = 1e-8
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class CriticalRegion(Record):
@@ -148,6 +141,12 @@ def power_derivative_at_null(d: Distribution, alpha: float, w_left: float) -> fl
     return c_right * d.pdf_or_pmf(c_right) - c_left * d.pdf_or_pmf(c_left)
 
 
+def _require_variance_law(d: Distribution, what: str) -> None:
+    if not isinstance(d, (ChiSquare, FRatio)):
+        raise ValueError(f"{what} are defined for the chi-square and F variance tests, "
+                         f"not {type(d).__name__}")
+
+
 def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
     """The left-tail weight making the level-alpha test unbiased.
 
@@ -155,9 +154,7 @@ def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
     its critical region. Defined for the chi-square and F variance tests,
     the scale families whose UMPU region this condition fixes.
     """
-    if not isinstance(d, (ChiSquare, FRatio)):
-        raise ValueError(f"UMPU weights are defined for the chi-square and F variance tests, "
-                         f"not {type(d).__name__}")
+    _require_variance_law(d, "UMPU weights")
     w_star = brentq(lambda w: power_derivative_at_null(d, alpha, w), 1e-6, 1.0 - 1e-6,
                     rtol=1e-14, atol=1e-14)
     return w_star, critical_region_from_weights(d, alpha, w_star)
@@ -194,38 +191,13 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
     return left, right
 
 
-def _golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Argmin of a unimodal f on [a, b] by golden-section search."""
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return (a + b) / 2.0
-
-
 def _region_for_method(d: Distribution, method: str, alpha: float,
                        anchor: TailAnchor) -> tuple[float, float]:
     """(c_left, c_right) of the level-alpha region for a method."""
     if method == DOUBLED:
         return _region_cuts(d, alpha, 0.5)
     if method == CONDITIONAL:
-        try:
-            a_value = resolve_anchor(d, anchor)
-        except ValueError as exc:
-            if anchor != "mean":
-                raise
-            warnings.warn(f"mean anchor unavailable ({exc}); falling back to the median",
-                          stacklevel=3)
-            a_value = d.median()
-        return _region_cuts(d, alpha, d.cdf(a_value))
+        return _region_cuts(d, alpha, d.cdf(resolve_anchor(d, anchor)))
     if method == UMPU:
         _, region = umpu_weights(d, alpha)
         return region.c_left, region.c_right
@@ -250,10 +222,11 @@ def bias(d: Distribution, method: str, alpha: float, *,
          anchor: TailAnchor = "mean") -> BiasReport:
     """Minimum of power(rho) - alpha over scale alternatives rho in [e^-4, e^4].
 
-    The power F(rho*c_L) + S(rho*c_R) has derivative
-    c_L f(rho*c_L) - c_R f(rho*c_R). For the two variance families its sign
-    is that of g(rho) = log(c_L f(rho*c_L)) - log(c_R f(rho*c_R)), and g has
-    exactly one root, so that root is the minimum:
+    Defined for the chi-square and F variance tests; any other law raises
+    ``ValueError``. The power F(rho*c_L) + S(rho*c_R) has derivative
+    c_L f(rho*c_L) - c_R f(rho*c_R). Its sign is that of
+    g(rho) = log(c_L f(rho*c_L)) - log(c_R f(rho*c_R)), and g has exactly
+    one root, so that root is the minimum:
 
     - chi-square(k): g(rho) = (k/2) log(c_L/c_R) + rho (c_R - c_L)/2 is
       linear and increasing, with root rho* = k log(c_R/c_L) / (c_R - c_L);
@@ -270,33 +243,12 @@ def bias(d: Distribution, method: str, alpha: float, *,
     rho* is clamped to [e^-4, e^4]. When c_L sits on the support's lower
     end (minimum likelihood with a mode at 0) the power decreases
     throughout, rho* is +inf and the clamp returns e^4.
-
-    Other continuous families keep the search: a 400-point logarithmic grid
-    over the same range, refined by golden-section search; the grid guards
-    against a two-sided power with a double dip around the null.
     """
+    _require_variance_law(d, "bias reports")
     c_left, c_right = _region_for_method(d, method, alpha, anchor)
-
-    def power(rho: float) -> float:
-        return variance_power(d, c_left, c_right, rho)
-
-    if isinstance(d, (ChiSquare, FRatio)):
-        rho_star = _stationary_rho(d, c_left, c_right)
-        argmin_rho = min(max(rho_star, math.exp(_RHO_LOG_LO)), math.exp(_RHO_LOG_HI))
-        min_power = power(argmin_rho)
-    else:
-        n = _RHO_GRID_POINTS
-        logs = [_RHO_LOG_LO + (_RHO_LOG_HI - _RHO_LOG_LO) * i / (n - 1) for i in range(n)]
-        rhos = [math.exp(t) for t in logs]
-        powers = [power(r) for r in rhos]
-        i0 = min(range(n), key=powers.__getitem__)
-        lo = rhos[max(0, i0 - 1)]
-        hi = rhos[min(n - 1, i0 + 1)]
-        argmin_rho = _golden_section_min(power, lo, hi, _RHO_REFINE_TOL)
-        min_power = power(argmin_rho)
-        # the refined point can only improve on the grid candidate
-        if powers[i0] < min_power:
-            argmin_rho, min_power = rhos[i0], powers[i0]
+    rho_star = _stationary_rho(d, c_left, c_right)
+    argmin_rho = min(max(rho_star, math.exp(_RHO_LOG_LO)), math.exp(_RHO_LOG_HI))
+    min_power = variance_power(d, c_left, c_right, argmin_rho)
     return BiasReport(method=method, level=alpha, min_power=min_power,
                       bias=min_power - alpha, argmin_rho=argmin_rho)
 

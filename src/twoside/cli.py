@@ -25,7 +25,6 @@ import io
 import math
 import re
 import sys
-import warnings
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
@@ -160,15 +159,17 @@ def _json(value, indent: str = "\n") -> str:
     on a copy with the floats rounded, written in one pass: ``indent`` is the
     newline and indentation of the current level. A record
     (``twoside._record.Record``: a law or a result type) becomes the object
-    of its fields in declaration order, which ``vars`` gives. A float that is
-    not finite once rounded raises the ``ValueError`` that ``json`` raises.
+    of its fields in declaration order, which ``vars`` gives. A finite float
+    whose rounding overflows (from 1.7976931345e308 up) is written unrounded;
+    NaN and infinities raise the ``ValueError`` that ``json`` raises.
     """
     if isinstance(value, float):
         rounded = float(f"{value:.10g}")
-        if not math.isfinite(rounded):
-            raise ValueError("Out of range float values are not JSON compliant: "
-                             + repr(rounded))
-        return repr(rounded)
+        if math.isfinite(rounded):
+            return repr(rounded)
+        if math.isfinite(value):
+            return repr(value)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(value))
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -213,13 +214,13 @@ def _render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _render_json(command: str, inputs: dict, results, warning_list: list[str]) -> str:
+def _render_json(command: str, inputs: dict, results) -> str:
     envelope = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "inputs": inputs,
         "results": results,
-        "warnings": warning_list,
+        "warnings": [],  # part of schema twoside/1; no command warns
     }
     return _json(envelope) + "\n"
 
@@ -498,16 +499,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     handler = {"pvalue": _cmd_pvalue, "test": _cmd_test, "analyze": _cmd_analyze}
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            command, inputs, results = handler[args.command](args)
-        warning_list = [str(w.message) for w in caught]
-        if isinstance(results, str):
-            text = results
-            for message in warning_list:
-                print(f"warning: {message}", file=sys.stderr)
-        else:
-            text = _render_json(command, inputs, results, warning_list)
+        command, inputs, results = handler[args.command](args)
+        text = results if isinstance(results, str) else _render_json(command, inputs, results)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,10 @@ Discrete conventions differ across libraries, so they are pinned here:
 - ``sf(x)`` is the inclusive upper tail P(X >= ceil(x)). In particular
   ``sf(k)`` at a support point k includes the mass at k, matching the
   one-sided p-value convention of exact tests.
-- ``quantile(p)`` is the smallest support point whose cdf reaches p, or
-  the upper support bound when rounding keeps every cdf value below p.
+- ``quantile(p)`` is the smallest support point whose cdf reaches p. Above
+  p = 1/2 it is read from the upper tails, as the smallest k with
+  ``sf(k + 1) <= 1 - p``: 1 - p is exact there and the small tail sums
+  keep the digits that the running cdf sums near 1 have lost.
 - ``median()`` is ``quantile(0.5)``.
 - ``mode_set()`` scans the mass function and returns every argmax (two
   neighbouring points tie at certain parameter boundaries).
@@ -504,10 +506,11 @@ class _Discrete(Distribution):
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
         t = self._tables()
-        idx = bisect_left(t.cdf, p)
-        if idx == len(t.cdf):
-            return float(self._bounds()[1])
-        return float(t.first + idx)
+        if p > 0.5:
+            # the first index j >= 1 with sf[j] <= 1 - p, or len(sf) past the
+            # window, where sf is 0; the answer is the point before it
+            return float(t.first - 1 + bisect_left(t.sf, p - 1.0, 1, key=operator.neg))
+        return float(t.first + bisect_left(t.cdf, p))
 
     def mass_at_most(self, cut: float) -> float:
         """Total mass of the support points whose mass is at most ``cut``.

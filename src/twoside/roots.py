@@ -7,6 +7,9 @@ from typing import Callable
 
 __all__ = ["brentq"]
 
+# iterations before brentq gives up on a bracket
+_MAX_ITER = 100
+
 
 def brentq(
     f: Callable[[float], float],
@@ -15,13 +18,14 @@ def brentq(
     *,
     rtol: float = 1e-13,
     atol: float = 1e-13,
-    max_iter: int = 100,
 ) -> float:
     """Root of f on the bracket [a, b] by Brent's method.
 
     Requires f(a) and f(b) to have opposite signs (or one of them to be
     exactly zero). Combines inverse quadratic interpolation, the secant
     step, and bisection, so convergence is guaranteed and usually fast.
+    Raises ``ArithmeticError`` naming the bracket if the tolerance is not
+    met within ``_MAX_ITER`` iterations.
     """
     fa = f(a)
     if fa == 0.0:
@@ -32,9 +36,10 @@ def brentq(
     if (fa > 0.0) == (fb > 0.0):
         raise ValueError(f"brentq requires a sign change on [{a!r}, {b!r}]")
 
+    lo, hi = a, b
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -74,4 +79,5 @@ def brentq(
         fb = f(b)
         if fb == 0.0:
             return b
-    return b
+    raise ArithmeticError(f"brentq did not converge in {_MAX_ITER} iterations "
+                          f"on [{lo!r}, {hi!r}]")

@@ -285,6 +285,11 @@ def test_umpu_weights_only_for_the_variance_families(d):
         umpu_weights(d, ALPHA)
     assert type(d).__name__ in str(excinfo.value)
     assert "partial mean" not in str(excinfo.value)
+    for method in BIAS_METHODS:
+        with pytest.raises(ValueError) as excinfo:
+            bias(d, method, ALPHA)
+        assert str(excinfo.value) == ("bias reports are defined for the chi-square and F "
+                                      f"variance tests, not {type(d).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +438,11 @@ def test_bias_median_anchor_equals_doubled():
     assert via_median == pytest.approx(via_doubled, abs=1e-9)
 
 
-def test_bias_mean_anchor_fallback_warns():
-    with pytest.warns(UserWarning, match="falling back to the median"):
-        report = bias(FRatio(5, 2), "conditional", ALPHA)
+def test_bias_needs_a_defined_anchor():
+    # F(5, 2) has no mean: the conditional region needs an anchor that exists
+    with pytest.raises(ValueError, match="mean is undefined for denominator df <= 2, got 2"):
+        bias(FRatio(5, 2), "conditional", ALPHA)
+    report = bias(FRatio(5, 2), "conditional", ALPHA, anchor="median")
     assert report.bias <= 0.0
     with pytest.raises(ValueError, match="unknown bias method"):
         bias(CHISQ5, "weighted", ALPHA)

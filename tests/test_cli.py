@@ -40,11 +40,13 @@ def round10(x: float) -> float:
 
 def _round_floats(value):
     # the reference for cli._json: a copy with every float rounded, which
-    # json.dumps(indent=2, allow_nan=False) then writes
+    # json.dumps(indent=2, allow_nan=False) then writes; a finite float whose
+    # rounding overflows is kept as it is
     if isinstance(value, bool):
         return value
     if isinstance(value, float):
-        return float(f"{value:.10g}")
+        rounded = float(f"{value:.10g}")
+        return value if math.isfinite(value) and not math.isfinite(rounded) else rounded
     if isinstance(value, dict):
         return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -96,14 +98,22 @@ def test_json_matches_the_reference_on_edge_values():
         _assert_renders_like_the_reference({"v": value, "w": [value, value]})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1.7976931345e308,
-                                   1.7976931348623157e308, -1.7976931348623157e308])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_json_rejects_a_non_finite_float_like_the_reference(value):
-    # floats from 1.7976931345e308 up round to infinity at 10 significant digits
     for wrapped in (value, [1.0, value], {"a": {"b": [value]}}):
         kind, message = _rendered(cli._json, wrapped)
         assert kind == "ValueError"
         assert message.startswith("Out of range float values are not JSON compliant: ")
+        _assert_renders_like_the_reference(wrapped)
+
+
+@pytest.mark.parametrize("value", [1.7976931345e308, 1.7976931348623157e308,
+                                   -1.7976931348623157e308])
+def test_json_writes_a_finite_float_that_rounds_to_infinity_unrounded(value):
+    # floats from 1.7976931345e308 up round to infinity at 10 significant
+    # digits; they are finite, so they are written as they are
+    for wrapped in (value, [1.0, value], {"a": {"b": [value]}}):
+        assert cli._json(wrapped) == json.dumps(wrapped, indent=2, allow_nan=False)
         _assert_renders_like_the_reference(wrapped)
 
 
@@ -395,16 +405,28 @@ def test_analyze_bias_golden(capsys):
     assert env["warnings"] == []
 
 
-def test_analyze_bias_fallback_warning_in_envelope(capsys):
-    code, out, _ = run(capsys, "analyze", "bias", "--dist", "f:5,2",
-                       "--method", "conditional", "--alpha", "0.05")
+def test_analyze_bias_without_a_mean_exits_three(capsys):
+    code, out, err = run(capsys, "analyze", "bias", "--dist", "f:5,2",
+                         "--method", "conditional", "--alpha", "0.05")
+    assert code == 3
+    assert out == ""
+    assert err == "error: mean is undefined for denominator df <= 2, got 2\n"
+
+
+def test_analyze_bias_with_the_median_anchor(capsys):
+    # F(5, 2) has no mean, but its conditional region about the median exists
+    code, out, err = run(capsys, "analyze", "bias", "--dist", "f:5,2",
+                         "--method", "conditional", "--alpha", "0.05", "--anchor", "median")
     assert code == 0
+    assert err == ""
     env = json.loads(out)
-    assert len(env["warnings"]) == 1
-    assert "falling back to the median" in env["warnings"][0]
-    with pytest.warns(UserWarning, match="falling back to the median"):
-        report = analysis.bias(FRatio(5, 2), "conditional", 0.05)
-    assert env["results"]["bias"] == round10(report.bias)
+    assert env["warnings"] == []
+    results = env["results"]
+    assert results["min_power"] == 0.04717604358
+    assert results["bias"] == -0.002823956421
+    assert results["argmin_rho"] == 0.7812886848
+    report = analysis.bias(FRatio(5, 2), "conditional", 0.05, anchor="median")
+    assert results["bias"] == round10(report.bias)
 
 
 def test_analyze_table1_json(capsys):
@@ -575,7 +597,8 @@ def test_umpu_outside_the_variance_families_exits_three(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
-    assert err.startswith("error: UMPU weights are defined for the chi-square and F variance tests")
+    what = "bias reports" if argv[1] == "bias" else "UMPU weights"
+    assert err.startswith(f"error: {what} are defined for the chi-square and F variance tests")
     assert "partial mean" not in err
 
 
@@ -612,6 +635,17 @@ def test_representable_variance_statistic_exits_zero(capsys):
     results = json.loads(out)["results"]
     assert results["statistic"] == 1.7e308
     assert results["p_right"] == 0.0
+
+
+def test_largest_finite_statistic_is_written(capsys):
+    # 1.7976931348623157e308 rounds to infinity at 10 digits; it is written unrounded
+    code, out, err = run(capsys, "test", "variance", "--s2", "1.7976931348623157e308",
+                         "--n", "2", "--sigma0sq", "1")
+    assert code == 0
+    assert err == ""
+    env = json.loads(out)
+    assert env["inputs"]["s2"] == 1.7976931348623157e308
+    assert env["results"]["statistic"] == 1.7976931348623157e308
 
 
 def test_numerical_failure_exits_four(capsys, monkeypatch):

@@ -148,19 +148,53 @@ def test_discrete_quantile_convention_knife_edge():
     # just above it, so the two probe points land on different support points
     assert d.quantile(0.6777) == 2.0
     assert d.quantile(0.678) == 3.0
-    assert d.quantile(d.cdf(2)) == 2.0
+    assert d.quantile(d.cdf(1)) == 1.0
+    # above 1/2 the quantile reads sf: the running sum cdf(2) lies just above
+    # the exact P(X <= 2), so the exact quantile at that level is 3
+    assert Fraction(d.cdf(2)) > sum(binom_pmf_exact(10, 0.2, k) for k in range(3))
+    assert d.quantile(d.cdf(2)) == 3.0
 
 
 @pytest.mark.parametrize("d", [Binomial(12, 0.35), Hypergeometric(8, 6, 20)], ids=str)
 def test_discrete_quantile_cdf_round_trip(d):
     pts = d.support().points()
     for k in list(pts)[:-1]:
-        assert d.quantile(d.cdf(k)) == float(k)
+        if d.cdf(k) <= 0.5:
+            assert d.quantile(d.cdf(k)) == float(k)
+        else:  # the upper quantiles read sf, where 1 - p is exact
+            q = d.quantile(d.cdf(k))
+            assert d.sf(q + 1) <= 1.0 - d.cdf(k) < d.sf(q)
     for p in (1e-9, 0.25, 0.5, 0.75, 1 - 1e-12):
         q = d.quantile(p)
         assert d.cdf(q) >= p - 1e-15
         if q > pts.start:
             assert d.cdf(q - 1) < p
+
+
+def test_discrete_upper_quantile_is_exact_near_one():
+    # the smallest k with P(X > k) <= 2^-53, from exact integer tail sums
+    n = 20000
+    term, tail, k = 1, 1, n  # term = C(n, k), tail = the sum of C(n, j) for j >= k
+    while tail <= 2 ** (n - 53):
+        term = term * k // (n - k + 1)  # C(n, k - 1)
+        tail += term
+        k -= 1
+    assert k == 10580
+    assert Binomial(n, 0.5).quantile(1 - 2.0 ** -53) == float(k)
+
+
+@pytest.mark.parametrize("d", [Binomial(12, 0.35), Binomial(300, 0.01), Hypergeometric(8, 6, 20),
+                               Hypergeometric(90, 150, 300)], ids=str)
+def test_discrete_upper_quantile_against_exact_masses(d):
+    pts = d.support().points()
+    exact = _exact_masses(d)
+    for p in (0.5 + 2.0 ** -53, 0.75, 0.99, 1 - 1e-6, 1 - 1e-12, 1 - 2.0 ** -40, 1 - 2.0 ** -53):
+        cum = Fraction(0)
+        for k, mass in zip(pts, exact):
+            cum += mass
+            if cum >= Fraction(p):
+                break
+        assert d.quantile(p) == float(k), p
 
 
 def test_discrete_pmf_requires_integers():
@@ -423,11 +457,10 @@ def test_outside_window_semantics():
         assert d.cdf(k) == window.cdf[-1] == pytest.approx(1.0, abs=1e-15)
         assert d.sf(k + 1) == 0.0
     assert d.cdf(n) == 1.0
-    # smallest point whose cdf reaches p, or n when no running sum does
+    # the smallest point whose upper tail beyond it is at most 1 - p
     p = 1 - 2**-53
     q = d.quantile(p)
-    assert d.cdf(q - 1) < p
-    assert d.cdf(q) >= p or q == n
+    assert d.sf(q + 1) <= 1 - p < d.sf(q)
 
 
 def _exact_masses(d) -> list[Fraction]:

@@ -10,8 +10,9 @@ status and the SHA-256 of the stdout each produced when recorded:
 - ``continuous_tests_seed1``: 100 variance/F tests and chi-square, F and
   truncated-normal p-values, with chi-square df up to 5000;
 - ``grid_families``: ``analyze bias`` with each method on the uniform,
-  triangular and truncated-normal laws, whose minimum power is still found
-  on a grid (several of them exit 3 with a domain error, recorded as such).
+  triangular and truncated-normal laws; bias reports are defined for the
+  chi-square and F variance tests only, so every one of them exits 3 with
+  a domain error and empty stdout.
 
 Any change to a printed digit, to the JSON layout or to an exit status
 shows up here. Every JSON envelope must parse as strict JSON (no
