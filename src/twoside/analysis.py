@@ -197,7 +197,7 @@ def _region_for_method(d: Distribution, method: str, alpha: float,
     if method == DOUBLED:
         return _region_cuts(d, alpha, 0.5)
     if method == CONDITIONAL:
-        return _region_cuts(d, alpha, d.cdf(resolve_anchor(d, anchor)))
+        return _region_cuts(d, alpha, tail_weights(d, resolve_anchor(d, anchor)).w_left)
     if method == UMPU:
         _, region = umpu_weights(d, alpha)
         return region.c_left, region.c_right

@@ -19,14 +19,12 @@ converge).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import analysis, pvalue, stattests
 from ._record import Record
@@ -51,22 +49,19 @@ class UsageError(Exception):
     """Malformed command line; maps to exit code 2."""
 
 
-# family name -> (constructor, parameter names, parameter parsers)
-_DIST_FAMILIES = {
-    "chisq": (ChiSquare, ("df",), ("int",)),
-    "f": (FRatio, ("d1", "d2"), ("int", "int")),
-    "unif": (Uniform, ("lower", "upper"), ("float", "float")),
-    "tri": (Triangular, ("left", "right"), ("float", "float")),
-    "truncnorm": (TruncatedNormal, ("cutoff",), ("float",)),
-    "binom": (Binomial, ("n", "p"), ("int", "float")),
-    "hyper": (Hypergeometric, ("row1", "col1", "total"), ("int", "int", "int")),
-    "nchyper": (NoncentralHypergeometric, ("row1", "col1", "total", "odds"),
-                ("int", "int", "int", "float")),
-}
+_DIST_FAMILIES = {"chisq": ChiSquare, "f": FRatio, "unif": Uniform, "tri": Triangular,
+                  "truncnorm": TruncatedNormal, "binom": Binomial, "hyper": Hypergeometric,
+                  "nchyper": NoncentralHypergeometric}
+
+# family name -> {parameter name: "int" or "float"}: the arguments of the
+# law's constructor, in order, with the types its fields declare
+_DIST_PARAMS = {family: {name: kind for name, kind in law.__init__.__annotations__.items()
+                         if name != "return"}
+                for family, law in _DIST_FAMILIES.items()}
 
 _DIST_HELP = ("distribution as family:p1,p2,... — one of "
-              + "; ".join(f"{name}:{','.join(params)}"
-                          for name, (_, params, _) in _DIST_FAMILIES.items()))
+              + "; ".join(f"{family}:{','.join(params)}"
+                          for family, params in _DIST_PARAMS.items()))
 
 _ANCHOR_HELP = "tail anchor: mean, mode, median, or value:V (default mean)"
 
@@ -74,14 +69,10 @@ _METHOD_HELP = ("comma-separated p-value methods: doubled, conditional, "
                 "conditional_modified, min_likelihood (alias minlik), "
                 "weighted:WL, or all (default all)")
 
-_METHOD_ALIASES = {
-    "doubled": pvalue.DOUBLED,
-    "conditional": pvalue.CONDITIONAL,
-    "conditional_modified": pvalue.CONDITIONAL_MODIFIED,
-    "conditional-modified": pvalue.CONDITIONAL_MODIFIED,
-    "min_likelihood": pvalue.MIN_LIKELIHOOD,
-    "minlik": pvalue.MIN_LIKELIHOOD,
-}
+# each method by its name but weighted, which is named with its weight (weighted:WL)
+_METHOD_ALIASES = {**{m: m for m in pvalue.METHODS if m != pvalue.WEIGHTED},
+                   "conditional-modified": pvalue.CONDITIONAL_MODIFIED,
+                   "minlik": pvalue.MIN_LIKELIHOOD}
 
 _BIAS_METHOD_ALIASES = {name: method
                         for name, method in {**_METHOD_ALIASES, "umpu": analysis.UMPU}.items()
@@ -109,14 +100,13 @@ def parse_dist(spec: str) -> Distribution:
     if family not in _DIST_FAMILIES:
         supported = ", ".join(sorted(_DIST_FAMILIES))
         raise UsageError(f"unknown distribution family {family!r}; supported: {supported}")
-    ctor, names, kinds = _DIST_FAMILIES[family]
+    params = _DIST_PARAMS[family]
     tokens = rest.split(",") if sep and rest else []
-    if len(tokens) != len(names):
-        raise UsageError(f"{family} takes {len(names)} parameter(s) "
-                         f"({','.join(names)}), got {len(tokens)}")
-    args = [_parse_number(tok, kind, f"{family} parameter {name}")
-            for tok, kind, name in zip(tokens, kinds, names)]
-    return ctor(*args)
+    if len(tokens) != len(params):
+        raise UsageError(f"{family} takes {len(params)} parameter(s) "
+                         f"({','.join(params)}), got {len(tokens)}")
+    return _DIST_FAMILIES[family](*[_parse_number(tok, kind, f"{family} parameter {name}")
+                                    for tok, (name, kind) in zip(tokens, params.items())])
 
 
 def parse_anchor(text: str) -> pvalue.TailAnchor:
@@ -197,21 +187,12 @@ def _json(value, indent: str = "\n") -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.10g}"
-    return str(value)
-
-
-def _render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_format_cell(v) for v in row])
-    return buf.getvalue()
+def _render_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    # floats to 10 significant digits; no cell holds a comma, a quote or a newline
+    lines = [",".join(header)]
+    lines += [",".join([f"{v:.10g}" if isinstance(v, float) else str(v) for v in row])
+              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _render_json(command: str, inputs: dict, results) -> str:
@@ -439,9 +420,9 @@ def _read_sample(path: str) -> list[float]:
     return sample
 
 
-def _table_results(rows: list[dict], header: list[str], fmt: str) -> dict | str:
+def _table_results(rows: list[dict], fmt: str) -> dict | str:
     if fmt == "csv":
-        return _render_csv(header, [[r[k] for k in header] for r in rows])
+        return _render_csv(rows[0].keys(), [r.values() for r in rows])
     return {"rows": rows}
 
 
@@ -464,7 +445,7 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
         d = parse_dist(args.dist)
         if args.method not in _BIAS_METHOD_ALIASES:
             raise UsageError(f"unknown bias method {args.method!r}; expected one of "
-                             "doubled, conditional, umpu, min_likelihood")
+                             + ", ".join(analysis.BIAS_METHODS))
         report = analysis.bias(d, _BIAS_METHOD_ALIASES[args.method], args.alpha,
                                anchor=parse_anchor(args.anchor))
         inputs = {"dist": args.dist, "method": args.method, "alpha": args.alpha,
@@ -475,16 +456,14 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
         ns = _parse_list(args.n, "int", "table1 n") if args.n else list(analysis.TABLE1_NS)
         ps = _parse_list(args.p, "float", "table1 p") if args.p else list(analysis.TABLE1_PS)
         rows = analysis.binomial_weight_table(ns, ps)
-        header = ["n", "p", "w_left", "weight_ratio", "w_left_modified"]
-        return "analyze.table1", {"n": ns, "p": ps}, _table_results(rows, header, args.format)
+        return "analyze.table1", {"n": ns, "p": ps}, _table_results(rows, args.format)
 
     if args.subcommand == "table2":
         margins = _parse_list(args.margins, "int", "margins")
         if len(margins) != 3:
             raise UsageError(f"--margins needs row1,col1,total, got {len(margins)} values")
         rows = analysis.fisher_pvalue_table(*margins)
-        header = ["n11", "prob", "p_one_sided", "p_min_likelihood", "p_conditional"]
-        return "analyze.table2", {"margins": margins}, _table_results(rows, header, args.format)
+        return "analyze.table2", {"margins": margins}, _table_results(rows, args.format)
 
     header, rows = analysis.figure_data(args.which, args.resolution)
     inputs = {"which": args.which, "resolution": args.resolution}

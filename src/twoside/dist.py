@@ -109,7 +109,7 @@ class Distribution:
 
     def sf(self, x: float) -> float:
         """Upper tail probability; inclusive of x for discrete families."""
-        return 1.0 - self.cdf(x)
+        raise NotImplementedError
 
     def pdf_or_pmf(self, x: float) -> float:
         """Density (continuous) or probability mass (discrete) at x."""
@@ -218,9 +218,8 @@ class FRatio(Distribution, Record):
                 return math.inf
             return 1.0 if d1 == 2 else 0.0
         a, b = d1 / 2.0, d2 / 2.0
-        log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
         log_pdf = (a * math.log(d1 / d2) + (a - 1.0) * math.log(x)
-                   - (a + b) * math.log1p(d1 * x / d2) - log_beta)
+                   - (a + b) * math.log1p(d1 * x / d2) - specfun._log_beta(a, b))
         return math.exp(log_pdf)
 
     def quantile(self, p: float) -> float:
@@ -259,6 +258,13 @@ class Uniform(Distribution, Record):
             return 1.0
         return (x - self.lower) / (self.upper - self.lower)
 
+    def sf(self, x: float) -> float:
+        if x <= self.lower:
+            return 1.0
+        if x >= self.upper:
+            return 0.0
+        return (self.upper - x) / (self.upper - self.lower)
+
     def pdf_or_pmf(self, x: float) -> float:
         if self.lower <= x <= self.upper:
             return 1.0 / (self.upper - self.lower)
@@ -294,16 +300,24 @@ class Triangular(Distribution, Record):
     def support(self) -> Support:
         return Support(-self.left, self.right, False)
 
+    # each tail is computed directly on its side of the peak; past the peak,
+    # where it holds at least min(a, b) / (a + b), it is 1 minus the other
     def cdf(self, x: float) -> float:
         a, b = self.left, self.right
         if x <= -a:
             return 0.0
+        if x > 0.0:
+            return 1.0 - self.sf(x)
+        # grouped so that cdf(0) evaluates to exactly a / (a + b)
+        return ((x + a) / a) * ((x + a) / (a + b))
+
+    def sf(self, x: float) -> float:
+        a, b = self.left, self.right
         if x >= b:
-            return 1.0
+            return 0.0
         if x <= 0.0:
-            # grouped so that cdf(0) evaluates to exactly a / (a + b)
-            return ((x + a) / a) * ((x + a) / (a + b))
-        return 1.0 - ((b - x) / b) * ((b - x) / (a + b))
+            return 1.0 - self.cdf(x)
+        return ((b - x) / b) * ((b - x) / (a + b))
 
     def pdf_or_pmf(self, x: float) -> float:
         a, b = self.left, self.right

@@ -147,12 +147,15 @@ def tail_weights(d: Distribution, anchor_value: float) -> Weights:
     """Null probabilities of the two tails cut at the anchor.
 
     Discrete tails are inclusive on both sides, so the weights sum to
-    1 + P(X = A) when the anchor is attainable.
+    1 + P(X = A) when the anchor is attainable. An anchor that leaves a tail
+    without probability is a domain error.
     """
-    if d.is_discrete:
-        return Weights(d.cdf(anchor_value), d.sf(anchor_value))
-    lower = d.cdf(anchor_value)
-    return Weights(lower, 1.0 - lower)
+    w_left = d.cdf(anchor_value)
+    w_right = d.sf(anchor_value) if d.is_discrete else 1.0 - w_left
+    if not (w_left > 0.0 and w_right > 0.0):
+        raise ValueError(f"anchor {anchor_value!r} sits at or outside the support boundary; "
+                         "the conditional p-value needs both tails to have positive probability")
+    return Weights(w_left, w_right)
 
 
 def _modified_scale(d: Distribution, anchor_value: float) -> float:
@@ -217,13 +220,7 @@ def p_conditional(d: Distribution, x: float, anchor_value: float, *,
     continuous family) the two variants agree.
     """
     if weights is None:
-        try:
-            weights = tail_weights(d, anchor_value)
-        except ValueError:
-            raise ValueError(
-                f"anchor {anchor_value!r} sits at or outside the support boundary; "
-                "the conditional p-value needs both tails to have positive probability"
-            ) from None
+        weights = tail_weights(d, anchor_value)
     scale = _modified_scale(d, anchor_value) if modified else 1.0
     return min(1.0, _anchored_tail(d, x, anchor_value, weights, scale))
 

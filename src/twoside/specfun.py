@@ -66,9 +66,13 @@ def log_choose(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
-def _check_gamma_args(a: float, x: float) -> None:
+def _check_gamma_shape(a: float) -> None:
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"shape parameter must be finite and > 0, got {a!r}")
+
+
+def _check_gamma_args(a: float, x: float) -> None:
+    _check_gamma_shape(a)
     if not math.isfinite(x) or x < 0.0:
         raise ValueError(f"argument must be finite and >= 0, got {x!r}")
 
@@ -209,6 +213,11 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def _check_beta_shapes(a: float, b: float) -> None:
+    if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
+        raise ValueError(f"shape parameters must be finite and > 0, got a={a!r}, b={b!r}")
+
+
 def _beta_continued_fraction(x: float, a: float, b: float) -> float:
     # modified Lentz evaluation of the standard continued fraction for I_x(a,b)
     qab = a + b
@@ -253,8 +262,7 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
 @_memoized
 def reg_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a, b)."""
-    if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"shape parameters must be finite and > 0, got a={a!r}, b={b!r}")
+    _check_beta_shapes(a, b)
     if not math.isfinite(x) or x < 0.0 or x > 1.0:
         raise ValueError(f"argument must lie in [0, 1], got {x!r}")
     if x == 0.0:
@@ -302,8 +310,7 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
 
     p = 1 is rejected (the inverse diverges); p = 0 returns 0.
     """
-    if not math.isfinite(a) or a <= 0.0:
-        raise ValueError(f"shape parameter must be finite and > 0, got {a!r}")
+    _check_gamma_shape(a)
     _check_prob_for_inverse(p)
     if p == 0.0:
         return 0.0
@@ -336,8 +343,7 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
 @_memoized
 def inv_reg_beta(p: float, a: float, b: float) -> float:
     """Inverse of ``reg_beta`` in x: returns x in [0, 1] with I_x(a, b) = p."""
-    if not math.isfinite(a) or a <= 0.0 or not math.isfinite(b) or b <= 0.0:
-        raise ValueError(f"shape parameters must be finite and > 0, got a={a!r}, b={b!r}")
+    _check_beta_shapes(a, b)
     if not math.isfinite(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     if p == 0.0:

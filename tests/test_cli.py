@@ -8,6 +8,7 @@ the library call serialized the same way (bit-for-bit round-trip).
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -23,7 +24,16 @@ import twoside
 from twoside import analysis, cli, pvalue, stattests
 from twoside._record import Record
 from twoside.cli import main
-from twoside.dist import ChiSquare, FRatio
+from twoside.dist import (
+    Binomial,
+    ChiSquare,
+    FRatio,
+    Hypergeometric,
+    NoncentralHypergeometric,
+    Triangular,
+    TruncatedNormal,
+    Uniform,
+)
 
 MEAN5 = 5.0
 
@@ -484,6 +494,63 @@ def test_analyze_figure_csv(capsys, tmp_path):
     assert lines[0] == "panel,x,p_min_likelihood,p_conditional,p_conditional_modified,p_doubled"
 
 
+def _csv_reference(header, rows) -> str:
+    # the reference for cli._render_csv: csv.writer over the cells formatted
+    # as the CLI always formatted them
+    def cell(value):
+        if isinstance(value, bool):
+            return str(value)
+        if isinstance(value, float):
+            return f"{value:.10g}"
+        return str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(v) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("which", analysis.FIGURES)
+def test_figure_csv_matches_the_csv_module(capsys, which):
+    header, rows = analysis.figure_data(which, 64)
+    assert cli._render_csv(header, rows) == _csv_reference(header, rows)
+    code, out, _ = run(capsys, "analyze", "figure", "--which", which, "--resolution", "64")
+    assert code == 0 and out == _csv_reference(header, rows)
+
+
+_TABLE1_HEADER = ["n", "p", "w_left", "weight_ratio", "w_left_modified"]
+_TABLE2_HEADER = ["n11", "prob", "p_one_sided", "p_min_likelihood", "p_conditional"]
+
+
+@pytest.mark.parametrize("argv, header, table", [
+    (("table1",), _TABLE1_HEADER, lambda: analysis.binomial_weight_table()),
+    (("table1", "--n", "10,11,1001", "--p", "0.2,1e-5"), _TABLE1_HEADER,
+     lambda: analysis.binomial_weight_table([10, 11, 1001], [0.2, 1e-5])),
+    (("table2", "--margins", "9,5,30"), _TABLE2_HEADER,
+     lambda: analysis.fisher_pvalue_table(9, 5, 30)),
+    (("table2", "--margins", "40,60,200"), _TABLE2_HEADER,
+     lambda: analysis.fisher_pvalue_table(40, 60, 200)),
+], ids=["table1", "table1-custom", "table2-small", "table2-wide"])
+def test_table_csv_matches_the_csv_module(capsys, argv, header, table):
+    rows = table()
+    # the CSV header is the keys of the library's rows
+    assert all(list(row) == header for row in rows)
+    code, out, _ = run(capsys, "analyze", *argv, "--format", "csv")
+    assert code == 0
+    assert out == _csv_reference(header, [[row[k] for k in header] for row in rows])
+
+
+def test_csv_matches_the_csv_module_on_edge_cells():
+    cells = [*_FLOATS, *[-v for v in _FLOATS], 2**63, 2**64 + 1, -(2**100), 0, -1, True, False,
+             "one_sample", "chisq5", math.nan, math.inf, -math.inf]
+    rows = [cells, cells[::-1], [-0.0], [5e-324], [1e-5, 9.99999999995e-6, 1e16, 9999999999999998.0]]
+    header = ["a", "b_c"]
+    assert cli._render_csv(header, rows) == _csv_reference(header, rows)
+    assert cli._render_csv(header, []) == _csv_reference(header, [])
+
+
 def test_out_file_json(capsys, tmp_path):
     out_path = tmp_path / "result.json"
     code, out, _ = run(capsys, "pvalue", "--dist", "chisq:5", "--x", "0.5",
@@ -520,6 +587,62 @@ def test_every_subcommand_help_lists_out(capsys, command):
     code, out, _ = run(capsys, *command, "--help")
     assert code == 0
     assert "--out" in out
+
+
+# ---------------------------------------------------------------------------
+# distribution specs
+
+
+def test_dist_help_text():
+    assert cli._DIST_HELP == (
+        "distribution as family:p1,p2,... — one of chisq:df; f:d1,d2; unif:lower,upper; "
+        "tri:left,right; truncnorm:cutoff; binom:n,p; hyper:row1,col1,total; "
+        "nchyper:row1,col1,total,odds")
+
+
+@pytest.mark.parametrize("spec, law", [
+    ("chisq:5", ChiSquare(5)),
+    ("f:3,7", FRatio(3, 7)),
+    ("unif:0,3", Uniform(0.0, 3.0)),
+    ("tri:1,2", Triangular(1.0, 2.0)),
+    ("truncnorm: 0.5", TruncatedNormal(0.5)),
+    ("binom:10,0.2", Binomial(10, 0.2)),
+    ("hyper:9,5,30", Hypergeometric(9, 5, 30)),
+    ("nchyper:9,5,30,2", NoncentralHypergeometric(9, 5, 30, 2.0)),
+])
+def test_parse_dist_builds_each_family(spec, law):
+    d = cli.parse_dist(spec)
+    assert d == law
+    assert repr(d) == repr(law)  # ints parsed as ints, the rest as floats
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("chisq", "chisq takes 1 parameter(s) (df), got 0"),
+    ("chisq:5,3", "chisq takes 1 parameter(s) (df), got 2"),
+    ("chisq:2.5", "chisq parameter df: expected an integer, got '2.5'"),
+    ("f:3", "f takes 2 parameter(s) (d1,d2), got 1"),
+    ("f:3,x", "f parameter d2: expected an integer, got 'x'"),
+    ("unif:0", "unif takes 2 parameter(s) (lower,upper), got 1"),
+    ("unif:0,b", "unif parameter upper: expected a number, got 'b'"),
+    ("tri:1,2,3", "tri takes 2 parameter(s) (left,right), got 3"),
+    ("tri:a,2", "tri parameter left: expected a number, got 'a'"),
+    ("truncnorm:", "truncnorm takes 1 parameter(s) (cutoff), got 0"),
+    ("truncnorm:x", "truncnorm parameter cutoff: expected a number, got 'x'"),
+    ("binom:10", "binom takes 2 parameter(s) (n,p), got 1"),
+    ("binom:10.5,0.2", "binom parameter n: expected an integer, got '10.5'"),
+    ("binom:10,abc", "binom parameter p: expected a number, got 'abc'"),
+    ("hyper:9,5", "hyper takes 3 parameter(s) (row1,col1,total), got 2"),
+    ("hyper:9,5,30.0", "hyper parameter total: expected an integer, got '30.0'"),
+    ("hyper:9,5,30,1", "hyper takes 3 parameter(s) (row1,col1,total), got 4"),
+    ("nchyper:9,5,30", "nchyper takes 4 parameter(s) (row1,col1,total,odds), got 3"),
+    ("nchyper:9.0,5,30,2", "nchyper parameter row1: expected an integer, got '9.0'"),
+    ("nchyper:9,5,30,odd", "nchyper parameter odds: expected a number, got 'odd'"),
+])
+def test_bad_dist_spec_exits_two(capsys, spec, message):
+    code, out, err = run(capsys, "pvalue", "--dist", spec, "--x", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +723,22 @@ def test_umpu_outside_the_variance_families_exits_three(capsys, argv):
     what = "bias reports" if argv[1] == "bias" else "UMPU weights"
     assert err.startswith(f"error: {what} are defined for the chi-square and F variance tests")
     assert "partial mean" not in err
+
+
+@pytest.mark.parametrize("argv, anchor", [
+    (("pvalue", "--dist", "chisq:5", "--x", "1", "--anchor", "value:0"), 0.0),
+    (("test", "variance", "--s2", "1", "--n", "6", "--sigma0sq", "1", "--anchor", "value:0"),
+     0.0),
+    (("analyze", "bias", "--dist", "chisq:5", "--method", "conditional", "--alpha", "0.05",
+      "--anchor", "value:0"), 0.0),
+    (("pvalue", "--dist", "tri:1,2", "--x", "1", "--anchor", "value:2"), 2.0),
+], ids=lambda v: " ".join(v)[:40] if isinstance(v, tuple) else "")
+def test_anchor_on_the_support_boundary_exits_three(capsys, argv, anchor):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: anchor {anchor!r} sits at or outside the support boundary; "
+                   "the conditional p-value needs both tails to have positive probability\n")
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
@@ -739,6 +878,15 @@ def test_parser_is_built_once_across_main_calls():
     assert cli._build_parser.cache_info().hits == 4
 
 
+def _run_probe(probe: str) -> str:
+    src = str(Path(twoside.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout
+
+
 def test_import_builds_no_parser():
     probe = (
         "import argparse\n"
@@ -751,28 +899,25 @@ def test_import_builds_no_parser():
         "import twoside.cli\n"
         "print(len(built))\n"
     )
-    src = str(Path(twoside.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout == "0\n"
+    assert _run_probe(probe) == "0\n"
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
+def _modules_loaded_by_import(names: set[str]) -> str:
     # modules that site already loaded in a bare interpreter do not count
-    probe = (
+    return _run_probe(
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import twoside.cli\n"
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - bare)))\n"
+        f"print(sorted({names!r} & (set(sys.modules) - bare)))\n"
     )
-    src = str(Path(twoside.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout == "[]\n"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    assert _modules_loaded_by_import({"dataclasses", "inspect"}) == "[]\n"
+
+
+def test_import_loads_no_csv():
+    assert _modules_loaded_by_import({"csv"}) == "[]\n"
 
 
 def test_data_file_errors(capsys, tmp_path):

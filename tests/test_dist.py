@@ -118,6 +118,33 @@ def test_truncated_normal_sf_is_one_up_to_the_cutoff():
     assert d.sf(-3.0) == 1.0
 
 
+def _exact_sf(d, x: Fraction) -> Fraction:
+    if isinstance(d, Uniform):
+        lower, upper = Fraction(d.lower), Fraction(d.upper)
+        return (upper - x) / (upper - lower)
+    a, b = Fraction(d.left), Fraction(d.right)
+    if x <= 0:
+        return 1 - (x + a) ** 2 / (a * (a + b))
+    return (b - x) ** 2 / (b * (a + b))
+
+
+@pytest.mark.parametrize("d, xs", [
+    (Triangular(1.0, 2.0), (-0.999999999, -0.5, 0.0, 1e-300, 0.5, 1.5, 1.9999999, 1.999999999,
+                            2.0 - 2.0**-51)),
+    (Triangular(0.5, 3.5), (-0.25, 0.1, 3.0, 3.4999999999, 3.5 - 2.0**-50)),
+    (Uniform(0.0, 3.0), (1e-300, 1.5, 2.9, 2.999999999999, 3.0 - 2.0**-51)),
+    (Uniform(-1.0, 3.0), (-0.999, 0.0, 2.0, 2.99999999999, 3.0 - 2.0**-51)),
+], ids=str)
+def test_upper_tail_against_exact_rationals(d, xs):
+    # 1 - cdf(x) would give 1.6653e-15 for tri:1,2 at 1.9999999 and 0.0 at 1.999999999
+    for x in xs:
+        exact = _exact_sf(d, Fraction(x))
+        assert abs(Fraction(d.sf(x)) - exact) <= exact * Fraction(1e-15), x
+    lo, hi = d.support().lo, d.support().hi
+    assert d.sf(lo) == d.sf(lo - 1.0) == 1.0
+    assert d.sf(hi) == d.sf(hi + 1.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # discrete conventions: floor cdf, inclusive ceil sf, quantile
 

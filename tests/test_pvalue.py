@@ -455,6 +455,20 @@ def test_tail_weights():
     assert wu.w_left + wu.w_right == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("d, anchor", [(CHISQ5, 0.0), (Triangular(1.0, 2.0), 2.0),
+                                       (Triangular(1.0, 2.0), -1.0), (Uniform(0.0, 3.0), 3.0),
+                                       (Binomial(10, 0.2), -1.0), (Binomial(10, 0.2), 11.0)])
+def test_tail_weights_name_an_anchor_on_the_support_boundary(d, anchor):
+    message = (f"anchor {anchor!r} sits at or outside the support boundary; "
+               "the conditional p-value needs both tails to have positive probability")
+    with pytest.raises(ValueError) as raised:
+        tail_weights(d, anchor)
+    assert str(raised.value) == message
+    with pytest.raises(ValueError) as raised:
+        p_conditional(d, 1.0, anchor)
+    assert str(raised.value) == message
+
+
 @pytest.mark.parametrize("d, anchor", [(CHISQ5, 5.0), (Binomial(10, 0.2), 2.0),
                                        (Binomial(11, 0.2), 2.2)])
 @pytest.mark.parametrize("method", ["conditional", "conditional_modified"])
