@@ -1,14 +1,14 @@
 """Power, bias, and optimal-weight analysis for two-sided tests.
 
-A two-sided critical region at level alpha is fixed by the left-tail weight
-w_L: reject below quantile(w_L * alpha) or above quantile(1 - (1-w_L) * alpha).
-The doubled p-value corresponds to w_L = 1/2, the conditional p-value to
-w_L = F(A). This module computes the power of such regions against scale
-alternatives (:func:`variance_power`, the one power function), the bias
-(minimum power minus level), the weight that makes the test unbiased (zero
-power derivative at the null), the acceptance region of the
-minimum-likelihood p-value, and the tabular/figure series summarizing all
-of it for the binomial and hypergeometric test families.
+A two-sided critical region at level alpha rejects below c_L and above c_R,
+with F(c_L) + S(c_R) = alpha. The doubled and conditional p-values fix the
+left-tail weight w_L = F(c_L)/alpha, at 1/2 and at F(A). The unbiased (UMPU)
+and minimum-likelihood regions instead make a level equal at both cuts,
+c f(c) and the density f(c), and one search solves both. This module
+computes the power of such regions against scale alternatives
+(:func:`variance_power`, the one power function), the bias (minimum power
+minus level), and the tabular/figure series summarizing all of it for the
+binomial and hypergeometric test families.
 
 The UMPU weight and the bias are defined for the two variance families,
 chi-square and F, and for no other law. Their bias minimum over rho is in
@@ -19,8 +19,9 @@ root (see :func:`bias`).
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ._record import Record
 from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric, TruncatedNormal
@@ -30,7 +31,8 @@ from .pvalue import (
     MIN_LIKELIHOOD,
     TailAnchor,
     _modified_scale,
-    conjugate_point,
+    _partner,
+    _tail_sum,
     p_conditional,
     p_doubled,
     p_min_likelihood,
@@ -147,17 +149,52 @@ def _require_variance_law(d: Distribution, what: str) -> None:
                          f"not {type(d).__name__}")
 
 
-def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
-    """The left-tail weight making the level-alpha test unbiased.
+def _equal_level_region(d: Distribution, alpha: float, level: Callable,
+                        peak: float) -> tuple[float, float]:
+    """Cuts c_L < peak < c_R with level(c_L) = level(c_R) and F(c_L) + S(c_R) = alpha.
 
-    Solves power_derivative_at_null = 0 in w_left; returns the weight and
-    its critical region. Defined for the chi-square and F variance tests,
-    the scale families whose UMPU region this condition fixes.
+    The tail sum rises with c_L. From the lower alpha quantile (or just below
+    the peak) c_L steps toward the support's lower end while the sum is still
+    at least alpha, then brentq solves on the last step. The partner's error
+    moves the weight, so both searches run near the float spacing.
+    """
+    sup = d.support()
+    rtol = 4e-16
+    out_of_range = ValueError(f"the level-{alpha!r} region of {d!r} leaves the float range")
+
+    @functools.cache
+    def excess(t: float) -> float:
+        if not t > sup.lo:
+            raise out_of_range
+        return _tail_sum(d, level, peak, t, rtol) - alpha
+
+    hi = sup.lo + (peak - sup.lo) * (1.0 - 1e-9)
+    lo = min(d.quantile(alpha), hi)
+    while excess(lo) >= 0.0:  # 16 times as far from the peak, or 16 times closer to the end
+        hi, lo = lo, max(peak - 16.0 * (peak - lo), sup.lo + (lo - sup.lo) / 16.0)
+    left = brentq(excess, lo, hi, rtol=rtol, atol=5e-324)
+    right = _partner(d, level, peak, left, rtol)
+    if right is None:
+        raise out_of_range
+    return left, right
+
+
+@functools.lru_cache(maxsize=256)
+def umpu_weights(d: Distribution, alpha: float) -> tuple[float, CriticalRegion]:
+    """The left-tail weight w = F(c_L)/alpha making the level-alpha test unbiased.
+
+    Its region equalizes c f(c), which peaks at df for chi-square and at 1 for
+    F, the zero of power_derivative_at_null. Defined for those two variance
+    tests; memoized per process (errors are not cached).
     """
     _require_variance_law(d, "UMPU weights")
-    w_star = brentq(lambda w: power_derivative_at_null(d, alpha, w), 1e-6, 1.0 - 1e-6,
-                    rtol=1e-14, atol=1e-14)
-    return w_star, critical_region_from_weights(d, alpha, w_star)
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    peak = float(d.df) if isinstance(d, ChiSquare) else 1.0
+    c_left, c_right = _equal_level_region(d, alpha, lambda c: c * d.pdf_or_pmf(c), peak)
+    w_star = d.cdf(c_left) / alpha
+    return w_star, CriticalRegion(c_left=c_left, c_right=c_right, alpha=alpha, w_left=w_star,
+                                  anchor=d.quantile(w_star))
 
 
 def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
@@ -175,20 +212,12 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     sup = d.support()
-    mode = d.mode_set()[0]
     f_lo = d.pdf_or_pmf(sup.lo)
     if f_lo > 0.0:  # a density that is 0 there stays two-sided
         upper = d.quantile(1.0 - alpha)
         if f_lo >= d.pdf_or_pmf(upper):
             return sup.lo, upper
-    # inside the bracket the two tails sum to below 1, so the cap at 1 never applies
-    lo = d.quantile(min(alpha, 0.5) * 1e-8)
-    hi = sup.lo + (mode - sup.lo) * (1.0 - 1e-9)
-    left = brentq(lambda t: p_min_likelihood(d, t) - alpha, lo, hi, rtol=1e-13, atol=1e-300)
-    right = conjugate_point(d, left)
-    if right is None:  # not reachable for an interior mode, kept for safety
-        right = sup.hi
-    return left, right
+    return _equal_level_region(d, alpha, d.pdf_or_pmf, d.mode_set()[0])
 
 
 def _region_for_method(d: Distribution, method: str, alpha: float,

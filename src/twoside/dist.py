@@ -245,8 +245,9 @@ class Uniform(Distribution, Record):
     upper: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)) or self.lower >= self.upper:
-            raise ValueError(f"need finite lower < upper, got {self.lower!r}, {self.upper!r}")
+        if not math.isfinite(self.upper - self.lower) or self.lower >= self.upper:
+            raise ValueError("need lower < upper with a finite width upper - lower, "
+                             f"got {self.lower!r}, {self.upper!r}")
 
     def support(self) -> Support:
         return Support(self.lower, self.upper, False)
@@ -275,7 +276,7 @@ class Uniform(Distribution, Record):
         return self.lower + p * (self.upper - self.lower)
 
     def mean(self) -> float:
-        return 0.5 * (self.lower + self.upper)
+        return 0.5 * self.lower + 0.5 * self.upper  # the sum may overflow
 
     def mode_set(self) -> list[float]:
         raise ValueError("the uniform density is flat, so its mode is not unique")
@@ -293,9 +294,9 @@ class Triangular(Distribution, Record):
     right: float
 
     def __post_init__(self) -> None:
-        ok = math.isfinite(self.left) and math.isfinite(self.right)
-        if not ok or self.left <= 0.0 or self.right <= 0.0:
-            raise ValueError(f"need finite left > 0 and right > 0, got {self.left!r}, {self.right!r}")
+        if not math.isfinite(self.left + self.right) or self.left <= 0.0 or self.right <= 0.0:
+            raise ValueError("need left > 0 and right > 0 with a finite width left + right, "
+                             f"got {self.left!r}, {self.right!r}")
 
     def support(self) -> Support:
         return Support(-self.left, self.right, False)
@@ -324,16 +325,17 @@ class Triangular(Distribution, Record):
         if x < -a or x > b:
             return 0.0
         if x <= 0.0:
-            return 2.0 * (x + a) / (a * (a + b))
-        return 2.0 * (b - x) / (b * (a + b))
+            return 2.0 * ((x + a) / a) / (a + b)
+        return 2.0 * ((b - x) / b) / (a + b)
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
         a, b = self.left, self.right
         split = a / (a + b)
+        # two roots, so that no product of the widths overflows
         if p <= split:
-            return -a + math.sqrt(p * a * (a + b))
-        return b - math.sqrt((1.0 - p) * b * (a + b))
+            return -a + math.sqrt(p * a) * math.sqrt(a + b)
+        return b - math.sqrt((1.0 - p) * b) * math.sqrt(a + b)
 
     def mean(self) -> float:
         return (self.right - self.left) / 3.0

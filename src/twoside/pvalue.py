@@ -29,7 +29,7 @@ Anchors are resolved by :func:`resolve_anchor` from "mean", "mode",
 from __future__ import annotations
 
 import math
-from typing import Union
+from typing import Callable, Union
 
 from ._record import Record
 from .dist import Distribution, Uniform
@@ -242,18 +242,19 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
 
     if isinstance(d, Uniform):
         return 1.0
-    sup = d.support()
-    if not sup.contains(x):
+    return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x, _ROOT_RTOL)
+
+
+def _tail_sum(d: Distribution, level: Callable, peak: float, x: float, rtol: float) -> float:
+    """The tail beyond x plus the tail beyond its :func:`_partner`, capped at 1."""
+    if not d.support().contains(x):
         return 0.0
-    mode = d.mode_set()[0]
-    if x == mode:
+    if x == peak:
         return 1.0
-    partner = conjugate_point(d, x)
-    if x < mode:
-        other = d.sf(partner) if partner is not None else 0.0
-        return min(1.0, d.cdf(x) + other)
-    other = d.cdf(partner) if partner is not None else 0.0
-    return min(1.0, d.sf(x) + other)
+    partner = _partner(d, level, peak, x, rtol)
+    if x < peak:
+        return min(1.0, d.cdf(x) + (d.sf(partner) if partner is not None else 0.0))
+    return min(1.0, d.sf(x) + (d.cdf(partner) if partner is not None else 0.0))
 
 
 def conjugate_point(d: Distribution, x: float) -> float | None:
@@ -268,43 +269,47 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
     mode = d.mode_set()[0]
     if x == mode:
         raise ValueError("the conjugate point is degenerate at the mode")
+    return _partner(d, d.pdf_or_pmf, mode, x, _ROOT_RTOL)
+
+
+def _partner(d: Distribution, level: Callable, peak: float, x: float, rtol: float) -> float | None:
+    """The point across the peak of the unimodal ``level`` where it equals
+    level(x); None when the level at that end of the support exceeds it."""
     sup = d.support()
     if not sup.contains(x):
         raise ValueError(f"x={x!r} lies outside the support [{sup.lo!r}, {sup.hi!r}]")
-    fx = d.pdf_or_pmf(x)
+    fx = level(x)
 
     def height(t: float) -> float:
-        return d.pdf_or_pmf(t) - fx
+        return level(t) - fx
 
-    # search between the mode and the far end of the support, doubling the
-    # step away from the mode when that end is infinite
-    below = x < mode
+    # search between the peak and the far end of the support, doubling the
+    # step away from the peak when that end is infinite
+    below = x < peak
     far = sup.hi if below else sup.lo
-    if far == mode:
-        # the mode sits on that end, so the density has no branch beyond it
+    if far == peak:
+        # the peak sits on that end, so the level has no branch beyond it
         return None
     if math.isfinite(far):
-        boundary = d.pdf_or_pmf(far)
+        boundary = level(far)
         if boundary > fx:
             return None
         if boundary == fx:
             return far
     else:
-        step = max(1.0, abs(mode - x))
+        step = max(1.0, abs(peak - x))
         for _ in range(600):
-            far = mode + step if below else mode - step
-            if d.pdf_or_pmf(far) < fx:
+            far = peak + step if below else peak - step
+            if level(far) < fx:
                 break
             step *= 2.0
         else:
             return None
-    # when f(x) ties the density at the mode within rounding, the computed
-    # height at the mode can be negative and brentq has no sign change
-    if height(mode) <= 0.0:
-        return mode
-    if below:
-        return brentq(height, mode, far, rtol=_ROOT_RTOL, atol=1e-300)
-    return brentq(height, far, mode, rtol=_ROOT_RTOL, atol=1e-300)
+    # when level(x) ties the level at the peak within rounding, the computed
+    # height at the peak can be negative and brentq has no sign change
+    if height(peak) <= 0.0:
+        return peak
+    return brentq(height, min(peak, far), max(peak, far), rtol=rtol, atol=1e-300)
 
 
 def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float | None:

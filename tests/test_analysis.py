@@ -261,21 +261,94 @@ UMPU_ROOTS = [
 @pytest.mark.parametrize("d,w_ref", UMPU_ROOTS, ids=[str(d) for d, _ in UMPU_ROOTS])
 def test_umpu_weights_against_frozen_mpmath(d, w_ref):
     w_star, _ = umpu_weights(d, ALPHA)
-    assert w_star == pytest.approx(float(w_ref), rel=5e-11)
+    assert w_star == pytest.approx(float(w_ref), rel=1e-12)
+
+
+# small-alpha regions from mpmath bisection at 40 digits; tests/make_region_reference.py
+# recomputes them
+UMPU_SMALL_ALPHA = [
+    (ChiSquare(1), 1e-12, 0.98357650485349534381, 1.5196240878632850354e-24,
+     58.919755683202153371),
+    (ChiSquare(5), 1e-12, 0.9314339487780004642, 4.981090066666351185e-05,
+     70.838442487543683115),
+]
+MINLIK_SMALL_ALPHA = [
+    (ChiSquare(5), 1e-12, 2.3455514896011991e-08, 65.238636222750051),
+    (ChiSquare(3), 1e-6, 1.4759302185133726e-12, 30.664849706214583),
+]
+
+
+@pytest.mark.parametrize("d,alpha,w_ref,left,right", UMPU_SMALL_ALPHA, ids=str)
+def test_umpu_weights_at_small_alpha_against_frozen_mpmath(d, alpha, w_ref, left, right):
+    w_star, region = umpu_weights(d, alpha)
+    assert w_star == pytest.approx(w_ref, abs=1e-12)
+    assert region.c_left == pytest.approx(left, rel=5e-12)
+    assert region.c_right == pytest.approx(right, rel=5e-12)
+
+
+@pytest.mark.parametrize("d,alpha,left,right", MINLIK_SMALL_ALPHA, ids=str)
+def test_minlik_region_at_small_alpha_against_frozen_mpmath(d, alpha, left, right):
+    assert minlik_region(d, alpha) == pytest.approx((left, right), rel=5e-12)
+
+
+def test_umpu_weight_of_the_symmetric_variance_ratio_at_small_alpha():
+    # c f(c) and the two tails of F(1, 1) are symmetric under c -> 1/c
+    w_star, region = umpu_weights(FRatio(1, 1), 1e-6)
+    assert w_star == pytest.approx(0.5, abs=1e-12)
+    assert region.c_left * region.c_right == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12])
+@pytest.mark.parametrize("k", range(1, 29))
+def test_umpu_region_of_chi_square_is_the_minlik_region_two_df_up(k, alpha):
+    # c f_k(c) is proportional to f_{k+2}(c), and k F_{k+2} = k F_k - 2 t f_k
+    # makes the two tail conditions agree where the levels are equal
+    _, region = umpu_weights(ChiSquare(k), alpha)
+    assert (region.c_left, region.c_right) == pytest.approx(
+        minlik_region(ChiSquare(k + 2), alpha), rel=1e-11)
+
+
+def _outer_search_ends(monkeypatch, run) -> tuple[list[float], list[tuple[float, float]]]:
+    """The points where the region search sums its tails, and its brentq brackets."""
+    sums, brackets = [], []
+    tail_sum, solve = analysis._tail_sum, analysis.brentq
+
+    def counted_sum(d, level, peak, x, rtol):
+        sums.append(x)
+        return tail_sum(d, level, peak, x, rtol)
+
+    def counted_solve(f, a, b, **kwargs):
+        brackets.append((a, b))
+        return solve(f, a, b, **kwargs)
+
+    monkeypatch.setattr(analysis, "_tail_sum", counted_sum)
+    monkeypatch.setattr(analysis, "brentq", counted_solve)
+    run()
+    return sums, brackets
 
 
 def test_umpu_weights_evaluates_each_bracket_end_once(monkeypatch):
-    seen = []
-    inner = analysis.power_derivative_at_null
+    sums, brackets = _outer_search_ends(
+        monkeypatch, lambda: umpu_weights.__wrapped__(CHISQ5, ALPHA))
+    [(lo, hi)] = brackets
+    assert 0.0 < lo < hi < CHISQ5.df
+    assert sums.count(lo) == 1
+    assert sums.count(hi) == 1
 
-    def counted(d, alpha, w_left):
-        seen.append(w_left)
-        return inner(d, alpha, w_left)
 
-    monkeypatch.setattr(analysis, "power_derivative_at_null", counted)
-    umpu_weights(CHISQ5, ALPHA)
-    assert seen.count(1e-6) == 1
-    assert seen.count(1.0 - 1e-6) == 1
+def test_umpu_weights_is_memoized_and_errors_are_not():
+    cold = umpu_weights.__wrapped__(FRatio(7, 9), ALPHA)
+    assert umpu_weights(FRatio(7, 9), ALPHA) == cold
+    hits = umpu_weights.cache_info().hits
+    assert umpu_weights(FRatio(7, 9), ALPHA) == cold
+    assert umpu_weights.cache_info().hits == hits + 1
+    assert umpu_weights.cache_info().maxsize == 256
+    size = umpu_weights.cache_info().currsize
+    for d, alpha in ((CHISQ5, 1.5), (Uniform(0.0, 1.0), ALPHA)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                umpu_weights(d, alpha)
+    assert umpu_weights.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("d", [Uniform(0.0, 1.0), Triangular(1.0, 2.0), TruncatedNormal(0.5)],
@@ -316,21 +389,20 @@ def test_minlik_region_when_a_density_ties_the_mode(d):
 
 
 def test_minlik_region_evaluates_each_bracket_end_once(monkeypatch):
-    # each evaluation of the tail sum reads the cdf once, at its left point,
-    # and brentq starts with the two bracket ends
-    seen = []
-    inner = ChiSquare.cdf
+    sums, brackets = _outer_search_ends(monkeypatch, lambda: minlik_region(CHISQ5, ALPHA))
+    [(lo, hi)] = brackets
+    assert 0.0 < lo < hi < CHISQ5.mode_set()[0]
+    assert sums.count(lo) == 1
+    assert sums.count(hi) == 1
 
-    def counted(self, x):
-        seen.append(x)
-        return inner(self, x)
 
-    monkeypatch.setattr(ChiSquare, "cdf", counted)
-    minlik_region(CHISQ5, ALPHA)
-    lo, hi = seen[:2]
-    assert lo < hi < CHISQ5.mode_set()[0]
-    assert seen.count(lo) == 1
-    assert seen.count(hi) == 1
+def test_minlik_region_steps_toward_the_lower_end_once_per_point(monkeypatch):
+    # at 1e-12 the opposite tail of the start point still holds more than
+    # alpha; each step's tail sum is reused as the next bracket end
+    sums, brackets = _outer_search_ends(monkeypatch, lambda: minlik_region(CHISQ5, 1e-12))
+    [(lo, hi)] = brackets
+    assert sums.index(lo) > 1
+    assert len(sums) == len(set(sums))
 
 
 def test_minlik_region_min_power():

@@ -70,7 +70,8 @@ def test_tracer_wraps_the_memoized_kernels_and_counts_cache_hits():
     # calls served from the memo are counted and uninstall restores the memo
     memo = specfun.inv_reg_gamma_lower
     memo.cache_clear()
-    argv = ["analyze", "umpu", "--dist", "chisq:7", "--alpha", "0.05"]
+    # the doubled region inverts the same two quantiles on every call
+    argv = ["analyze", "bias", "--dist", "chisq:7", "--method", "doubled", "--alpha", "0.05"]
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:

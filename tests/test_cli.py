@@ -750,6 +750,34 @@ def test_non_finite_x_exits_three(capsys, law, x):
     assert err == f"error: x must be finite, got {float(x)!r}\n"
 
 
+@pytest.mark.parametrize("law, message", [
+    ("tri:1e308,1e308",
+     "need left > 0 and right > 0 with a finite width left + right, got 1e+308, 1e+308"),
+    ("unif:-1e308,1e308",
+     "need lower < upper with a finite width upper - lower, got -1e+308, 1e+308"),
+])
+def test_law_whose_width_overflows_exits_three(capsys, law, message):
+    code, out, err = run(capsys, "pvalue", "--dist", law, "--x", "1")
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_triangular_law_of_huge_finite_width(capsys):
+    # p a (a + b) and a (a + b) overflow here; the law is tri:1,1 scaled by 1e200
+    code, out, err = run(capsys, "pvalue", "--dist", "tri:1e200,1e200", "--x", "1",
+                         "--anchor", "median")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert results["anchor"] == 0.0
+    assert results["p_values"] == {"doubled": 1.0, "conditional": 1.0, "min_likelihood": 1.0}
+    code, out, _ = run(capsys, "pvalue", "--dist", "tri:1e200,3e200", "--x", "1e200",
+                       "--anchor", "median")
+    _, unscaled, _ = run(capsys, "pvalue", "--dist", "tri:1,3", "--x", "1", "--anchor", "median")
+    scaled, unscaled = json.loads(out)["results"], json.loads(unscaled)["results"]
+    assert code == 0
+    assert scaled["anchor"] == pytest.approx(1e200 * unscaled["anchor"], rel=1e-9)
+    assert scaled["p_values"] == unscaled["p_values"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (("test", "f", "--s1sq", "1e308", "--n1", "5", "--s2sq", "1e-308", "--n2", "6"),
      "the statistic s1_sq / s2_sq overflows for s1_sq=1e+308, s2_sq=1e-308"),

@@ -447,6 +447,21 @@ def test_parameter_validation():
             bad()
 
 
+def test_laws_of_huge_finite_width():
+    # no product or sum of the parameters may overflow on the way
+    assert Uniform(1e308, 1.5e308).mean() == 1.25e308
+    tri = Triangular(1e200, 3e200)
+    assert tri.quantile(0.25) == pytest.approx(1e200 * Triangular(1.0, 3.0).quantile(0.25),
+                                               rel=1e-15)
+    assert tri.quantile(0.75) == pytest.approx(1e200 * Triangular(1.0, 3.0).quantile(0.75),
+                                               rel=1e-15)
+    assert tri.pdf_or_pmf(1e200) == pytest.approx(1e-200 * Triangular(1.0, 3.0).pdf_or_pmf(1.0),
+                                                  rel=1e-15)
+    for bad in (lambda: Uniform(-1e308, 1e308), lambda: Triangular(1e308, 1e308)):
+        with pytest.raises(ValueError, match="finite width"):
+            bad()
+
+
 def test_support_object():
     s = Support(0.0, 5.0, True)
     assert s.points() == range(0, 6)

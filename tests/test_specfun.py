@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twoside import specfun
+from twoside.analysis import umpu_weights
 from twoside.cli import main
 from twoside.specfun import (
     inv_reg_beta,
@@ -542,8 +543,10 @@ def test_non_convergence_names_the_kernel_arguments_and_cap(monkeypatch):
 
 
 def test_bias_after_umpu_on_the_same_law_solves_no_new_quantile():
+    # the UMPU memo serves the bias report's region, so no kernel runs again
     for kernel in MEMOIZED:
         kernel.cache_clear()
+    umpu_weights.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["analyze", "umpu", "--dist", "chisq:5", "--alpha", "0.05"]) == 0
         misses = inv_reg_gamma_lower.cache_info().misses
@@ -551,3 +554,4 @@ def test_bias_after_umpu_on_the_same_law_solves_no_new_quantile():
                      "--alpha", "0.05"]) == 0
     assert misses > 0
     assert inv_reg_gamma_lower.cache_info().misses == misses
+    assert umpu_weights.cache_info().hits == 1
