@@ -68,6 +68,7 @@ TABLE1_NS = (10, 11, 20, 21, 50, 51, 100, 101, 200, 201, 500, 501, 1000, 1001)
 TABLE1_PS = (0.1, 0.2)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
+_MAX_RESOLUTION = 100_000  # about 200 times the default 512; bounds fig1/fig3 time and memory
 
 # bias minimization range over rho: the closed-form argmin is clamped to it
 _RHO_LOG_LO = -4.0
@@ -403,12 +404,14 @@ def figure_data(which: str, resolution: int = 512) -> tuple[list[str], list[tupl
     fig4: the four p-value curves across the support of binomial(10, 0.2)
           and binomial(11, 0.2).
 
-    resolution controls continuous grids (fig1, fig3); fig2 and fig4 use
-    fixed integer ranges.
+    resolution (4 to 100,000) controls continuous grids (fig1,
+    fig3); fig2 and fig4 use fixed integer ranges.
     """
     if not isinstance(which, str) or which not in FIGURES:
         raise ValueError(f"unknown figure {which!r}; expected one of {FIGURES}")
     if not isinstance(resolution, int) or isinstance(resolution, bool) or resolution < 4:
         raise ValueError(f"resolution must be an integer >= 4, got {resolution!r}")
+    if resolution > _MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at most {_MAX_RESOLUTION}, got {resolution!r}")
     builder = {"fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4}[which]
     return builder(resolution)

@@ -14,6 +14,9 @@ deterministic for identical inputs. Exit codes: 0 success, 2 usage error,
 3 domain error (invalid parameter values, degenerate inputs), 4 numerical
 failure (an ``ArithmeticError``, e.g. a special function that did not
 converge).
+
+A command line that names a subcommand (``pvalue``, ``test f``, ...) is
+parsed by that subcommand's parser alone, as the whole parser would parse it.
 """
 
 from __future__ import annotations
@@ -209,9 +212,12 @@ def _render_json(command: str, inputs: dict, results) -> str:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -320,6 +326,11 @@ def _build_parser() -> argparse.ArgumentParser:
     a_fig.add_argument("--resolution", default=512, type=int,
                        help="grid resolution for continuous axes (default 512)")
 
+    # command words -> (leaf parser, the dests its enclosing parsers set)
+    parser.leaves = {("pvalue",): (p_pv, {"command": "pvalue"})}
+    for command, kinds in (("test", test_sub), ("analyze", an_sub)):
+        parser.leaves.update({(command, kind): (leaf, {"command": command, "subcommand": kind})
+                              for kind, leaf in kinds.choices.items()})
     return parser
 
 
@@ -470,16 +481,33 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
     return "analyze.figure", inputs, _render_csv(header, rows)
 
 
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, parsing a leaf's argv in one pass instead of three.
+
+    As in parse_args, the leaf reads every word after its command words and
+    the top parser reports the words it leaves. Other argvs take the whole parser.
+    """
+    leaf = parser.leaves.get(tuple(argv[:1])) or parser.leaves.get(tuple(argv[:2]))
+    if leaf is None:
+        return parser.parse_args(argv)
+    sub, words = leaf
+    args, extras = sub.parse_known_args(argv[len(words):], argparse.Namespace(**words))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     handler = {"pvalue": _cmd_pvalue, "test": _cmd_test, "analyze": _cmd_analyze}
     try:
         command, inputs, results = handler[args.command](args)
         text = results if isinstance(results, str) else _render_json(command, inputs, results)
+        _emit(text, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -489,7 +517,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ArithmeticError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 4
-    _emit(text, args.out)
     return 0
 
 

@@ -712,6 +712,12 @@ def test_figure_data_validation():
         figure_data("fig1", 3)
     with pytest.raises(ValueError, match="resolution"):
         figure_data("fig1", True)
+    with pytest.raises(ValueError) as too_coarse:
+        figure_data("fig3", 3)
+    assert str(too_coarse.value) == "resolution must be an integer >= 4, got 3"
+    with pytest.raises(ValueError) as too_fine:
+        figure_data("fig3", 100_001)
+    assert str(too_fine.value) == "resolution must be at most 100000, got 100001"
     assert set(FIGURES) == {"fig1", "fig2", "fig3", "fig4"}
 
 

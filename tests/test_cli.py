@@ -7,6 +7,7 @@ the library call serialized the same way (bit-for-bit round-trip).
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
@@ -560,6 +561,15 @@ def test_out_file_json(capsys, tmp_path):
     assert env["command"] == "pvalue"
 
 
+@pytest.mark.parametrize("target", ["missing/result.json", "."],
+                         ids=["missing-parent", "directory"])
+def test_out_file_that_cannot_be_written_exits_two(capsys, tmp_path, target):
+    out_path = str(tmp_path / target)
+    code, out, err = run(capsys, "pvalue", "--dist", "chisq:5", "--x", "0.5", "--out", out_path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output file: ") and out_path in err
+
+
 def test_byte_determinism(capsys):
     argv = ("pvalue", "--dist", "binom:10,0.2", "--x", "5")
     _, first, _ = run(capsys, *argv)
@@ -706,6 +716,13 @@ def test_domain_errors_exit_three(capsys, argv):
     assert code == 3
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_figure_resolution_above_the_bound_exits_three(capsys):
+    code, out, err = run(capsys, "analyze", "figure", "--which", "fig3",
+                         "--resolution", "100000000")
+    assert (code, out) == (3, "")
+    assert err == "error: resolution must be at most 100000, got 100000000\n"
 
 
 @pytest.mark.parametrize(
@@ -904,6 +921,95 @@ def test_parser_is_built_once_across_main_calls():
         _main_into_fresh_streams(*argv)
     assert cli._build_parser.cache_info().misses == 1
     assert cli._build_parser.cache_info().hits == 4
+
+
+# the leaf parsers, by the command words that reach them
+LEAVES = {("pvalue",),
+          ("test", "variance"), ("test", "f"), ("test", "binomial"), ("test", "fisher"),
+          ("analyze", "umpu"), ("analyze", "bias"), ("analyze", "table1"),
+          ("analyze", "table2"), ("analyze", "figure")}
+
+GOLDEN_ARGVS = [record["argv"] for group in json.loads(
+    Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8")).values()
+    for record in group]
+
+MALFORMED_ARGVS = [
+    [], ["--help"], ["-h"], ["test"], ["analyze"], ["test", "--help"], ["analyze", "-h"],
+    ["pvalue", "-h"], ["test", "f", "--help"], ["analyze", "figure", "-h"],
+    ["pvalue", "--dist", "chisq:5", "--x", "1", "--help", "--bogus"],
+    ["frobnicate", "--x", "1"], ["test", "chisq"], ["analyze", "fig9"],
+    ["analyze", "--bogus", "umpu"],
+    ["pvalue", "--dist", "chisq:5", "--x", "1", "extra", "words"],
+    ["test", "f", "--s1sq", "1", "--n1", "5", "--s2sq", "1", "--n2", "6", "--bogus"],
+    ["test", "fisher", "--table", "1,2,3,4", "--bogus=1", "-q"],
+    ["pvalue", "--dis", "chisq:5", "--x", "1"], ["pvalue", "--dist", "chisq:5", "--x=-1e-5"],
+    ["analyze", "bias", "--dist", "chisq:5", "--a", "0.05"],
+    ["--", "pvalue", "--dist", "chisq:5", "--x", "1"], ["pvalue", "--", "--dist", "chisq:5"],
+    ["pvalue"], ["pvalue", "--dist", "chisq:5", "--dist", "f:2,3", "--x", "1", "--x", "2"],
+    ["pvalue", "--dist", "chisq:5", "--x"], ["pvalue", "--dist", "chisq:5", "--x", "abc"],
+    ["analyze", "table1", "--format", "xml"], ["test", "variance", "--sigma0sq", "1", "-h"],
+]
+
+
+def _parsed(parse, argv: list[str]) -> tuple:
+    # exit status, the namespace as a dict (None on exit) and both streams
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = 0, vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code, None
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_like_the_whole_parser(argv: list[str]) -> tuple:
+    parser = cli._build_parser()
+    routed = _parsed(lambda a: cli._parse_args(parser, a), argv)
+    assert routed == _parsed(parser.parse_args, argv), argv
+    return routed
+
+
+def test_router_parses_the_golden_corpus_like_the_whole_parser():
+    for argv in GOLDEN_ARGVS:
+        (code, namespace), _, _ = _assert_parses_like_the_whole_parser(argv)
+        assert code == 0 and namespace["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGVS, ids=lambda argv: " ".join(argv)[:40] or "empty")
+def test_router_fails_like_the_whole_parser(argv):
+    _assert_parses_like_the_whole_parser(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvalue", "--dist", "chisq:5", "--x", "0.5"],
+    ["pvalue", "--dist", "chisq:5", "--x", "1", "extra"],
+    ["test", "binomial", "--x", "3"],
+    ["test"],
+], ids=" ".join)
+def test_main_reads_sys_argv_when_given_none(monkeypatch, argv):
+    expected = _main_into_fresh_streams(*argv)
+    monkeypatch.setattr(sys, "argv", ["twoside", *argv])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(None)
+    assert (code, out.getvalue(), err.getvalue()) == expected
+
+
+def _leaf_paths(parser, words=()) -> set[tuple[str, ...]]:
+    # the command words of every parser below ``parser`` that has no subcommands
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return {words}
+    return set().union(*(_leaf_paths(sub, words + (name,))
+                         for name, sub in subparsers[0].choices.items()))
+
+
+def test_router_covers_every_leaf_parser():
+    parser = cli._build_parser()
+    assert set(parser.leaves) == LEAVES == _leaf_paths(parser)
+    for words, (leaf, dests) in parser.leaves.items():
+        assert leaf.prog == " ".join(("twoside",) + words)
+        assert tuple(dests.values()) == words
 
 
 def _run_probe(probe: str) -> str:
