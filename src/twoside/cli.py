@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a_fig.add_argument("--which", required=True, choices=analysis.FIGURES,
                        help="which figure's data to emit")
     a_fig.add_argument("--resolution", default=512, type=int,
-                       help="grid resolution for continuous axes (default 512)")
+                       help="grid resolution for continuous axes, 4 to 100000 (default 512)")
 
     # command words -> (leaf parser, the dests its enclosing parsers set)
     parser.leaves = {("pvalue",): (p_pv, {"command": "pvalue"})}

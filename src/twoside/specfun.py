@@ -9,7 +9,8 @@ shapes the iteration cap grows with sqrt(a), since both expansions need
 about 7.5 sqrt(a) terms near x = a, and the common prefactor is taken in
 Stirling form to avoid cancellation. Inverses use Newton iteration
 safeguarded by a maintained bracket, falling back to bisection whenever a
-Newton step would leave it.
+Newton step would leave it, and returning once a step is within tolerance.
+The normal quantile is ``statistics.NormalDist().inv_cdf`` (Wichura, AS 241).
 
 Everything here is a pure function of its arguments and safe to call
 concurrently, so the incomplete gamma/beta kernels ``reg_gamma_lower``,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import statistics
 from typing import Callable
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _TINY = 1e-300
+_STANDARD_NORMAL = statistics.NormalDist()
 
 # Convergence targets of the iterative kernels: a relative tolerance on the
 # converged value (or on the argument, for the inverses), far tighter than
@@ -284,7 +287,8 @@ def _newton_in_bracket(f: Callable[[float], float], log_pdf: Callable[[float], f
                        x: float, lo: float, hi: float) -> float:
     # Newton on the increasing f, whose derivative is exp(log_pdf). Each sign
     # of f narrows the bracket [lo, hi]; a step that would leave it (or
-    # overflow) bisects instead.
+    # overflow) bisects instead. A step within tolerance returns at once: below
+    # the float spacing it rounds to x, an end of the bracket, and would bisect.
     for _ in range(_MAX_ITER):
         fx = f(x)
         if fx > 0.0:
@@ -296,6 +300,8 @@ def _newton_in_bracket(f: Callable[[float], float], log_pdf: Callable[[float], f
         lp = log_pdf(x)
         step = fx * math.exp(-lp) if lp > -700.0 else math.inf
         nxt = x - step
+        if abs(step) <= _REL_TOL * abs(x):
+            return min(max(nxt, lo), hi)
         if not math.isfinite(nxt) or not (lo < nxt < hi):
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= _REL_TOL * max(abs(nxt), _TINY):
@@ -372,39 +378,8 @@ def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_TWO_PI
 
 
-# Acklam's rational approximation for the normal quantile; two Halley
-# refinements against the erfc-based cdf push it to full double precision.
-_NQ_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_NQ_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-_NQ_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_NQ_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-_NQ_SPLIT = 0.02425
-
-
 def norm_quantile(p: float) -> float:
     """Inverse of ``norm_cdf`` on (0, 1)."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p!r}")
-    a, b, c, d = _NQ_A, _NQ_B, _NQ_C, _NQ_D
-    if p < _NQ_SPLIT:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-             / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    elif p > 1.0 - _NQ_SPLIT:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-              / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    else:
-        q = p - 0.5
-        r = q * q
-        x = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-             / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
-    for _ in range(2):
-        err = norm_cdf(x) - p
-        u = err * _SQRT_TWO_PI * math.exp(0.5 * x * x)
-        x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return _STANDARD_NORMAL.inv_cdf(p)

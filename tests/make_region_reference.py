@@ -12,6 +12,13 @@ to 40 digits:
 Before printing, it checks its roots against the values frozen in
 ``tests/test_analysis.py`` (found earlier by mpmath bisection at 40
 digits), to the digits given there, and exits 1 on a mismatch.
+
+It then prints the one-sample panel of ``analyze figure --which fig2``:
+the bias of the 5%-level doubled and conditional (mean-anchor) chi-square
+tests for df = 2..49, as frozen in ``FIG2_ONE_SAMPLE`` of
+``tests/test_cli.py``. Each bias comes from quantiles solved by bisection,
+the closed-form argmin rho* = k log(c_R/c_L) / (c_R - c_L) clamped to
+[e^-4, e^4], and F(rho* c_L) + S(rho* c_R) - alpha, printed to 20 digits.
 """
 
 from __future__ import annotations
@@ -88,6 +95,23 @@ def region(family: str, params: tuple, kind: str, alpha: str):
     return cdf(c_left) / a, c_left, c_right
 
 
+def fig2_one_sample(k: int) -> tuple:
+    """(doubled, conditional) bias of the 5%-level chi-square(k) tests."""
+    cdf, sf, _, _, _ = law("chisq", (k,))
+    alpha = mp.mpf("0.05")
+
+    def quantile(p):
+        return bisect(lambda x: cdf(x) - p, mp.mpf(10) ** -10, mp.mpf(1000))
+
+    def bias(w_left):
+        c_left, c_right = quantile(w_left * alpha), quantile(1 - (1 - w_left) * alpha)
+        rho = k * mp.log(c_right / c_left) / (c_right - c_left)
+        rho = min(max(rho, mp.exp(-4)), mp.exp(4))
+        return cdf(rho * c_left) + sf(rho * c_right) - alpha
+
+    return bias(mp.mpf(1) / 2), bias(cdf(k))
+
+
 def main() -> int:
     failed = False
     for (family, params, kind, alpha), frozen in FROZEN.items():
@@ -102,6 +126,10 @@ def main() -> int:
             if abs(got / mp.mpf(want) - 1) > mp.mpf(10) ** (1 - digits):
                 print(f"  MISMATCH {label}: frozen {want}", file=sys.stderr)
                 failed = True
+    print("fig2 one_sample (n, bias_doubled, bias_conditional), df = n - 1:")
+    for n in range(3, 51):
+        doubled, conditional = fig2_one_sample(n - 1)
+        print(f'    {n}: ("{mp.nstr(doubled, 20)}", "{mp.nstr(conditional, 20)}"),')
     return 1 if failed else 0
 
 

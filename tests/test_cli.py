@@ -495,6 +495,70 @@ def test_analyze_figure_csv(capsys, tmp_path):
     assert lines[0] == "panel,x,p_min_likelihood,p_conditional,p_conditional_modified,p_doubled"
 
 
+# n -> (bias_doubled, bias_conditional) of the one-sample (chi-square, df = n - 1)
+# panel of fig2, from 40-digit mpmath; tests/make_region_reference.py prints them
+FIG2_ONE_SAMPLE = {
+    3: ("-0.0095286358937690490406", "-0.0039397072601486376166"),
+    4: ("-0.0070853234180725865727", "-0.0029943270280067466242"),
+    5: ("-0.0055967874778360895923", "-0.0023866039969532441108"),
+    6: ("-0.0046112578252634395754", "-0.00197553874445959681"),
+    7: ("-0.0039154508837042850407", "-0.0016821230037482866043"),
+    8: ("-0.0033996872774006030088", "-0.0014632168408008082491"),
+    9: ("-0.0030027881561000754028", "-0.0012940489681152486594"),
+    10: ("-0.0026882264608402384944", "-0.0011595814822618871282"),
+    11: ("-0.0024329470914065960026", "-0.0010502214982935426848"),
+    12: ("-0.0022217195830562241202", "-0.00095958554491046560416"),
+    13: ("-0.0020440951779334171488", "-0.00088327117892849498568"),
+    14: ("-0.0018926747486556507053", "-0.00081814851188127862285"),
+    15: ("-0.0017620758085618392453", "-0.00076193370241434529357"),
+    16: ("-0.0016482913764100413589", "-0.00071292238461792813046"),
+    17: ("-0.0015482781239690628153", "-0.00066981750439851871162"),
+    18: ("-0.0014596837793807111887", "-0.00063161488232274236051"),
+    19: ("-0.0013806619107791619159", "-0.00059752519136534006341"),
+    20: ("-0.0013097431358325930562", "-0.00056691955036547125656"),
+    21: ("-0.0012457437071969706836", "-0.00053929081525724363652"),
+    22: ("-0.0011876994234404332516", "-0.00051422553809493139563"),
+    23: ("-0.0011348170529674144447", "-0.00049138332130959225684"),
+    24: ("-0.0010864380927435590353", "-0.00047048139162062299808"),
+    25: ("-0.0010420113603398313433", "-0.00045128291873244379305"),
+    26: ("-0.0010010720082233352319", "-0.00043358806100761591497"),
+    27: ("-0.00096322527234279761169", "-0.00041722702420168525382"),
+    28: ("-0.00092813375524915014923", "-0.00040205462497281223541"),
+    29: ("-0.00089550737902515214759", "-0.0003879459922751910229"),
+    30: ("-0.00086509537671654492792", "-0.00037479313842805233232"),
+    31: ("-0.00083667985586086462305", "-0.00036250220147676383992"),
+    32: ("-0.00081007058572195820304", "-0.00035099121050126832482"),
+    33: ("-0.00078510074531003131569", "-0.00034018826181347148499"),
+    34: ("-0.00076162343186534806618", "-0.00033003002059067878861"),
+    35: ("-0.00073950877580942637785", "-0.00032046048220158659415"),
+    36: ("-0.00071864154278623391256", "-0.00031142994222361318211"),
+    37: ("-0.00069891912952320555832", "-0.00030289413527753522792"),
+    38: ("-0.00068024988010000045421", "-0.00029481351127569057804"),
+    39: ("-0.00066255166444001642871", "-0.00028715262417964734613"),
+    40: ("-0.00064575067260491003998", "-0.00027987961338851272296"),
+    41: ("-0.00062978038762832280186", "-0.00027296576179222444919"),
+    42: ("-0.00061458070679895125938", "-0.0002663851175919851504"),
+    43: ("-0.00060009718696036936568", "-0.00026011416941051879146"),
+    44: ("-0.0005862803938835829084", "-0.00025413156613625514499"),
+    45: ("-0.00057308533935031743364", "-0.0002484178744796141177"),
+    46: ("-0.00056047099245942065076", "-0.00024295536845109849334"),
+    47: ("-0.00054839985398744405495", "-0.00023772784596475319847"),
+    48: ("-0.00053683758451427915924", "-0.00023272046857659284248"),
+    49: ("-0.00052575267855603263103", "-0.00022791962102444434429"),
+    50: ("-0.0005151161782004518483", "-0.00022331278777335404731"),
+}
+
+
+def test_figure_two_one_sample_panel_prints_the_exact_digits(capsys):
+    code, out, _ = run(capsys, "analyze", "figure", "--which", "fig2")
+    assert code == 0
+    printed = {int(n): (doubled, conditional)
+               for panel, n, doubled, conditional in csv.reader(out.splitlines()[1:])
+               if panel == "one_sample"}
+    assert printed == {n: tuple(f"{float(ref):.10g}" for ref in refs)
+                       for n, refs in FIG2_ONE_SAMPLE.items()}
+
+
 def _csv_reference(header, rows) -> str:
     # the reference for cli._render_csv: csv.writer over the cells formatted
     # as the CLI always formatted them
@@ -723,6 +787,13 @@ def test_figure_resolution_above_the_bound_exits_three(capsys):
                          "--resolution", "100000000")
     assert (code, out) == (3, "")
     assert err == "error: resolution must be at most 100000, got 100000000\n"
+
+
+def test_figure_help_names_the_resolution_bound(capsys):
+    code, out, _ = run(capsys, "analyze", "figure", "--help")
+    assert code == 0
+    assert ("grid resolution for continuous axes, 4 to 100000 (default 512)"
+            in " ".join(out.split()))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Golden command-line corpus: exit status and stdout digest per argv.
 
-``golden_cli.json`` holds four frozen groups of argv lists with the exit
+``golden_cli.json`` holds five frozen groups of argv lists with the exit
 status and the SHA-256 of the stdout each produced when recorded:
 
 - ``paper_artifacts``: every paper table, figure and README command, plus
@@ -12,7 +12,14 @@ status and the SHA-256 of the stdout each produced when recorded:
 - ``grid_families``: ``analyze bias`` with each method on the uniform,
   triangular and truncated-normal laws; bias reports are defined for the
   chi-square and F variance tests only, so every one of them exits 3 with
-  a domain error and empty stdout.
+  a domain error and empty stdout;
+- ``anchors_and_flat_laws``: the laws and tail anchors the other groups
+  never evaluate: uniform and triangular p-values; median, mode and
+  ``value:V`` anchors on chi-square, F, truncated-normal (cutoffs 0.05,
+  0.5 and 2; its median goes through the normal quantile), binomial,
+  hypergeometric and noncentral-hypergeometric laws; the four tests with
+  a median or mode anchor; and conditional ``analyze bias`` with a median
+  or value anchor.
 
 Any change to a printed digit, to the JSON layout or to an exit status
 shows up here. Every JSON envelope must parse as strict JSON (no

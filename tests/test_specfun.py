@@ -6,7 +6,8 @@ a 10,000-panel trapezoid rule on their defining integrals (with an
 endpoint-derivative correction so the quadrature error is far below the
 comparison tolerance), the inverses against plain bisection on the
 forward functions, and everything else against exact integer or
-closed-form arithmetic.
+closed-form arithmetic. A few chi-square and normal quantiles are checked
+against values frozen from 40-digit mpmath (mpmath itself is not imported).
 """
 
 from __future__ import annotations
@@ -354,6 +355,22 @@ def test_inv_reg_gamma_vs_bisection_oracle():
         assert inv_reg_gamma_lower(a, p) == pytest.approx(oracle, rel=1e-10)
 
 
+# chi-square(df) quantiles at the exact binary p, from 40-digit mpmath: points
+# where a Newton step below the float spacing used to be dropped for the
+# bracket midpoint, up to 9.4e-13 (relative) away
+CHISQ_QUANTILES = [
+    (17, 1e-6, "1.702721331376013305880063"),
+    (32, 1e-6, "7.046935678198308128750918"),
+    (22, 0.025, "10.98232073447367666170398"),
+    (40, 0.025, "24.43303917080788835800891"),
+]
+
+
+@pytest.mark.parametrize("df,p,ref", CHISQ_QUANTILES)
+def test_inv_reg_gamma_keeps_a_newton_step_below_the_tolerance(df, p, ref):
+    assert 2.0 * inv_reg_gamma_lower(df / 2.0, p) == pytest.approx(float(ref), rel=2e-14)
+
+
 def test_inv_reg_gamma_edges():
     assert inv_reg_gamma_lower(2.5, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -418,6 +435,32 @@ def test_norm_quantile_known_points():
         norm_quantile(0.0)
     with pytest.raises(ValueError):
         norm_quantile(1.0)
+
+
+# the normal quantile at the exact binary p, from 40-digit mpmath
+NORM_QUANTILES = [
+    (1e-320, "-38.26912534303265101818100635964230833465"),
+    (1e-311, "-37.72410435432073599476968798069400632281"),
+    (1e-300, "-37.04709629936119923654704250489022234364"),
+    (1e-100, "-21.27345356096532429417951703536194580658"),
+    (1e-10, "-6.361340902404056199100396948787558347066"),
+    (0.02425, "-1.972961051311884837602748142793817319736"),
+    (0.3, "-0.5244005127080408159694543622639554364137"),
+    (0.975, "1.959963984540053855604430649826643177289"),
+    (1.0 - 1e-10, "6.361340889697421864155441787433399588591"),
+]
+
+
+@pytest.mark.parametrize("p,ref", NORM_QUANTILES)
+def test_norm_quantile_against_frozen_mpmath(p, ref):
+    assert norm_quantile(p) == pytest.approx(float(ref), rel=1e-15)
+
+
+def test_umpu_at_a_level_of_1e_312_exits_zero():
+    # the Wilson-Hilferty start of the chi-square quantile takes the normal
+    # quantile of a level below 1e-311
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["analyze", "umpu", "--dist", "chisq:30", "--alpha", "1e-312"]) == 0
 
 
 def test_norm_cdf_rejects_non_finite():
