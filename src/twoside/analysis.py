@@ -39,7 +39,7 @@ from .pvalue import (
     resolve_anchor,
     tail_weights,
 )
-from .roots import brentq
+from .roots import walk
 
 __all__ = [
     "UMPU",
@@ -150,33 +150,26 @@ def _require_variance_law(d: Distribution, what: str) -> None:
                          f"not {type(d).__name__}")
 
 
+def _out_of_range(d: Distribution, alpha: float) -> ValueError:
+    return ValueError(f"the level-{alpha!r} region of {d!r} leaves the float range")
+
+
 def _equal_level_region(d: Distribution, alpha: float, level: Callable,
                         peak: float) -> tuple[float, float]:
     """Cuts c_L < peak < c_R with level(c_L) = level(c_R) and F(c_L) + S(c_R) = alpha.
 
     The tail sum rises with c_L. From the lower alpha quantile (or just below
-    the peak) c_L steps toward the support's lower end while the sum is still
-    at least alpha, then brentq solves on the last step. The partner's error
-    moves the weight, so both searches run near the float spacing.
+    the peak) :func:`walk` steps c_L toward the support's lower end while the
+    sum is still at least alpha; c_R is its partner. The partner's error moves
+    the weight, so both solve to brentq's tolerance near the float spacing.
     """
     sup = d.support()
-    rtol = 4e-16
-    out_of_range = ValueError(f"the level-{alpha!r} region of {d!r} leaves the float range")
-
-    @functools.cache
-    def excess(t: float) -> float:
-        if not t > sup.lo:
-            raise out_of_range
-        return _tail_sum(d, level, peak, t, rtol) - alpha
-
-    hi = sup.lo + (peak - sup.lo) * (1.0 - 1e-9)
-    lo = min(d.quantile(alpha), hi)
-    while excess(lo) >= 0.0:  # 16 times as far from the peak, or 16 times closer to the end
-        hi, lo = lo, max(peak - 16.0 * (peak - lo), sup.lo + (lo - sup.lo) / 16.0)
-    left = brentq(excess, lo, hi, rtol=rtol, atol=5e-324)
-    right = _partner(d, level, peak, left, rtol)
+    start = min(d.quantile(alpha), sup.lo + (peak - sup.lo) * (1.0 - 1e-9))
+    left = walk(functools.cache(lambda t: _tail_sum(d, level, peak, t) - alpha),
+                start, peak, sup.lo)
+    right = None if left is None else _partner(d, level, peak, left)
     if right is None:
-        raise out_of_range
+        raise _out_of_range(d, alpha)
     return left, right
 
 
@@ -206,7 +199,8 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
     p_min_likelihood below alpha. When the density at the lower support
     bound is at least the density at the upper alpha cut (a mode on that
     bound, or a truncation above the cut's level), the region degenerates
-    to a single right-hand tail cut.
+    to a single right-hand tail cut, where S equals alpha. That cut is walked
+    to from the median, so it holds its digits where 1 - alpha rounds.
     """
     if d.is_discrete:
         raise ValueError("the minimum-likelihood region is defined for continuous densities")
@@ -215,7 +209,9 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
     sup = d.support()
     f_lo = d.pdf_or_pmf(sup.lo)
     if f_lo > 0.0:  # a density that is 0 there stays two-sided
-        upper = d.quantile(1.0 - alpha)
+        upper = walk(lambda t: d.sf(t) - alpha, d.median(), sup.lo, sup.hi)
+        if upper is None:
+            raise _out_of_range(d, alpha)
         if f_lo >= d.pdf_or_pmf(upper):
             return sup.lo, upper
     return _equal_level_region(d, alpha, d.pdf_or_pmf, d.mode_set()[0])
@@ -315,7 +311,6 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     """
     d = Hypergeometric(row1, col1, total)
     a = d.mean()
-    w = tail_weights(d, a)
     rows = []
     for k in d.support().points():
         x = float(k)
@@ -324,7 +319,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
             "prob": d.pdf_or_pmf(x),
             "p_one_sided": min(d.cdf(x), d.sf(x)),
             "p_min_likelihood": p_min_likelihood(d, x),
-            "p_conditional": p_conditional(d, x, a, weights=w),
+            "p_conditional": p_conditional(d, x, a),
         })
     return rows
 
@@ -364,13 +359,12 @@ def _fig3(resolution: int) -> tuple[list[str], list[tuple]]:
     for panel, d, lo, width in (("chisq5", ChiSquare(5), 0.0, 20.0),
                                 ("truncnorm05", TruncatedNormal(0.5), -0.5, 4.5)):
         anchor = d.mean()
-        w = tail_weights(d, anchor)
         for i in range(resolution + 1):
             x = lo + width * i / resolution
             rows.append((panel, x,
                          p_min_likelihood(d, x),
                          p_doubled(d, x, anchor, truncate=False),
-                         p_conditional(d, x, anchor, weights=w)))
+                         p_conditional(d, x, anchor)))
     return header, rows
 
 
@@ -382,13 +376,12 @@ def _fig4(resolution: int) -> tuple[list[str], list[tuple]]:
     for panel, n in (("binom10", 10), ("binom11", 11)):
         d = Binomial(n, 0.2)
         a = d.mean()
-        w = tail_weights(d, a)
         for k in d.support().points():
             x = float(k)
             rows.append((panel, x,
                          p_min_likelihood(d, x),
-                         p_conditional(d, x, a, weights=w),
-                         p_conditional(d, x, a, modified=True, weights=w),
+                         p_conditional(d, x, a),
+                         p_conditional(d, x, a, modified=True),
                          p_doubled(d, x)))
     return header, rows
 

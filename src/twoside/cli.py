@@ -346,8 +346,7 @@ def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
     p_values = {}
     for method, w in methods:
         p_values[method] = pvalue.p_value(d, args.x, method, anchor_value=anchor_value,
-                                          weights=w, anchor_weights=weights,
-                                          truncate=truncate)
+                                          weights=w, truncate=truncate)
     inputs = {
         "dist": args.dist,
         "x": args.x,

@@ -28,12 +28,13 @@ Anchors are resolved by :func:`resolve_anchor` from "mean", "mode",
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Union
 
 from ._record import Record
 from .dist import Distribution, Uniform
-from .roots import brentq
+from .roots import walk
 
 __all__ = [
     "DOUBLED",
@@ -74,9 +75,6 @@ TailAnchor = Union[float, str]
 
 # relative tolerance for treating two masses as tied in min-likelihood sums
 _TIE_TOL = 1e-9
-
-# tolerance of the bracketing search for conjugate points
-_ROOT_RTOL = 1e-13
 
 
 class Weights(Record):
@@ -143,12 +141,14 @@ def resolve_anchor(d: Distribution, anchor: TailAnchor) -> float:
     return value
 
 
+@functools.lru_cache(maxsize=256)
 def tail_weights(d: Distribution, anchor_value: float) -> Weights:
     """Null probabilities of the two tails cut at the anchor.
 
     Discrete tails are inclusive on both sides, so the weights sum to
     1 + P(X = A) when the anchor is attainable. An anchor that leaves a tail
-    without probability is a domain error.
+    without probability is a domain error. Memoized per process (errors are
+    not cached).
     """
     w_left = d.cdf(anchor_value)
     w_right = d.sf(anchor_value) if d.is_discrete else 1.0 - w_left
@@ -210,19 +210,16 @@ def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
 
 
 def p_conditional(d: Distribution, x: float, anchor_value: float, *,
-                  modified: bool = False, weights: Weights | None = None) -> float:
+                  modified: bool = False) -> float:
     """Tail probability divided by the anchored tail's null probability, capped at 1.
 
-    The weights are :func:`tail_weights`; a caller that already holds
-    ``tail_weights(d, anchor_value)`` passes them as ``weights``. With
-    ``modified=True`` both weights are divided by 1 + P(X = A) when the
-    anchor is an attainable support point; otherwise (and for every
-    continuous family) the two variants agree.
+    The weights are :func:`tail_weights`. With ``modified=True`` both
+    weights are divided by 1 + P(X = A) when the anchor is an attainable
+    support point; otherwise (and for every continuous family) the two
+    variants agree.
     """
-    if weights is None:
-        weights = tail_weights(d, anchor_value)
     scale = _modified_scale(d, anchor_value) if modified else 1.0
-    return min(1.0, _anchored_tail(d, x, anchor_value, weights, scale))
+    return min(1.0, _anchored_tail(d, x, anchor_value, tail_weights(d, anchor_value), scale))
 
 
 def p_min_likelihood(d: Distribution, x: float) -> float:
@@ -242,16 +239,16 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
 
     if isinstance(d, Uniform):
         return 1.0
-    return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x, _ROOT_RTOL)
+    return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x)
 
 
-def _tail_sum(d: Distribution, level: Callable, peak: float, x: float, rtol: float) -> float:
+def _tail_sum(d: Distribution, level: Callable, peak: float, x: float) -> float:
     """The tail beyond x plus the tail beyond its :func:`_partner`, capped at 1."""
     if not d.support().contains(x):
         return 0.0
     if x == peak:
         return 1.0
-    partner = _partner(d, level, peak, x, rtol)
+    partner = _partner(d, level, peak, x)
     if x < peak:
         return min(1.0, d.cdf(x) + (d.sf(partner) if partner is not None else 0.0))
     return min(1.0, d.sf(x) + (d.cdf(partner) if partner is not None else 0.0))
@@ -269,24 +266,23 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
     mode = d.mode_set()[0]
     if x == mode:
         raise ValueError("the conjugate point is degenerate at the mode")
-    return _partner(d, d.pdf_or_pmf, mode, x, _ROOT_RTOL)
+    return _partner(d, d.pdf_or_pmf, mode, x)
 
 
-def _partner(d: Distribution, level: Callable, peak: float, x: float, rtol: float) -> float | None:
+def _partner(d: Distribution, level: Callable, peak: float, x: float) -> float | None:
     """The point across the peak of the unimodal ``level`` where it equals
-    level(x); None when the level at that end of the support exceeds it."""
+    level(x); None when the level at that end of the support exceeds it.
+
+    A finite end is checked first. The root is walked to from x's mirror
+    image across the peak, twice as far toward an infinite end, where the
+    level's tail is the longer one (chi-square, F); from 1/16 of the way
+    from a finite end to the peak when the mirror is not short of that end.
+    """
     sup = d.support()
     if not sup.contains(x):
         raise ValueError(f"x={x!r} lies outside the support [{sup.lo!r}, {sup.hi!r}]")
     fx = level(x)
-
-    def height(t: float) -> float:
-        return level(t) - fx
-
-    # search between the peak and the far end of the support, doubling the
-    # step away from the peak when that end is infinite
-    below = x < peak
-    far = sup.hi if below else sup.lo
+    far = sup.hi if x < peak else sup.lo
     if far == peak:
         # the peak sits on that end, so the level has no branch beyond it
         return None
@@ -296,20 +292,14 @@ def _partner(d: Distribution, level: Callable, peak: float, x: float, rtol: floa
             return None
         if boundary == fx:
             return far
-    else:
-        step = max(1.0, abs(peak - x))
-        for _ in range(600):
-            far = peak + step if below else peak - step
-            if level(far) < fx:
-                break
-            step *= 2.0
-        else:
-            return None
     # when level(x) ties the level at the peak within rounding, the computed
-    # height at the peak can be negative and brentq has no sign change
-    if height(peak) <= 0.0:
+    # level at the peak can fall below level(x) and there is no sign change
+    if level(peak) <= fx:
         return peak
-    return brentq(height, min(peak, far), max(peak, far), rtol=rtol, atol=1e-300)
+    start = peak + (peak - x) * (1.0 if math.isfinite(far) else 2.0)
+    if math.isfinite(far) and not min(peak, far) < start < max(peak, far):
+        start = far + (peak - far) / 16.0
+    return walk(lambda t: level(t) - fx, start, peak, far)
 
 
 def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float | None:
@@ -324,7 +314,7 @@ def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float
         raise ValueError("conditional equivalent points are defined for continuous families")
     if x == anchor_value:
         raise ValueError("x must differ from the anchor")
-    w_left = d.cdf(anchor_value)
+    w_left = tail_weights(d, anchor_value).w_left
     pc = p_conditional(d, x, anchor_value)
     if x < anchor_value:
         target = 1.0 - (1.0 - w_left) * pc
@@ -338,14 +328,12 @@ def pc_equivalent_point(d: Distribution, x: float, anchor_value: float) -> float
 def p_value(d: Distribution, x: float, method: str, *,
             anchor_value: float | None = None,
             weights: Weights | None = None,
-            anchor_weights: Weights | None = None,
             truncate: bool = True) -> float:
     """Dispatch a two-sided p-value by method name.
 
     ``anchor_value`` must already be resolved (see :func:`resolve_anchor`);
     it is required by every method except ``min_likelihood``. The
-    ``weighted`` method additionally requires ``weights``. The conditional
-    methods use ``anchor_weights`` as their :func:`tail_weights` when given.
+    ``weighted`` method additionally requires ``weights``.
     """
     if method == MIN_LIKELIHOOD:
         return p_min_likelihood(d, x)
@@ -359,5 +347,4 @@ def p_value(d: Distribution, x: float, method: str, *,
         if weights is None:
             raise ValueError("the weighted method needs explicit weights")
         return p_weighted(d, x, anchor_value, weights)
-    return p_conditional(d, x, anchor_value, modified=method == CONDITIONAL_MODIFIED,
-                         weights=anchor_weights)
+    return p_conditional(d, x, anchor_value, modified=method == CONDITIONAL_MODIFIED)

@@ -1,24 +1,45 @@
-"""Bracketing scalar root finding shared by the numeric layers."""
+"""Bracketing scalar root finding shared by the numeric layers.
+
+Every root the package solves for is bracketed by :func:`walk`, stepping out
+from a start, and solved on that bracket by :func:`brentq` to one fixed
+tolerance: about four ulps of the root, down to the smallest subnormal.
+"""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-__all__ = ["brentq"]
+__all__ = ["brentq", "walk"]
 
 # iterations before brentq gives up on a bracket
 _MAX_ITER = 100
+# the tolerance of every solve: relative, and absolute near 0
+_RTOL = 4e-16
+_ATOL = 5e-324
 
 
-def brentq(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    *,
-    rtol: float = 1e-13,
-    atol: float = 1e-13,
-) -> float:
+def walk(f: Callable[[float], float], start: float, pivot: float, end: float) -> float | None:
+    """A root of f between pivot and end, bracketed by walking out from start.
+
+    f must be non-negative at pivot and fall below 0 once on the way to end;
+    start lies strictly between them. While f is still non-negative the walk
+    steps 16 times as far from pivot or, when that is nearer, 16 times closer
+    to a finite end, then :func:`brentq` solves on the last step (it evaluates
+    both ends again, so a costly f is best memoized). Returns None when the
+    walk reaches end or leaves the float range before f falls below 0.
+    """
+    lo, hi = (pivot, end) if pivot < end else (end, pivot)
+    near, far = pivot, start
+    while lo < far < hi and f(far) >= 0.0:
+        step = pivot + 16.0 * (far - pivot)
+        if math.isfinite(end):
+            step = (max if end < pivot else min)(step, end + (far - end) / 16.0)
+        near, far = far, step
+    return brentq(f, min(near, far), max(near, far)) if lo < far < hi else None
+
+
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of f on the bracket [a, b] by Brent's method.
 
     Requires f(a) and f(b) to have opposite signs (or one of them to be
@@ -46,7 +67,7 @@ def brentq(
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * rtol * abs(b) + 0.5 * atol
+        tol = 2.0 * _RTOL * abs(b) + 0.5 * _ATOL
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b

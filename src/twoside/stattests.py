@@ -160,8 +160,7 @@ def _report(d: Distribution, statistic: float, anchor: TailAnchor,
     if methods is None:
         methods = default_methods(d.is_discrete)
     weights = tail_weights(d, anchor_value)
-    two_sided = {m: p_value(d, statistic, m, anchor_value=anchor_value, anchor_weights=weights)
-                 for m in methods}
+    two_sided = {m: p_value(d, statistic, m, anchor_value=anchor_value) for m in methods}
     if statistic < anchor_value:
         direction = "below"
     elif statistic > anchor_value:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from twoside import analysis
+from twoside import analysis, roots
 from twoside.analysis import (
     BIAS_METHODS,
     FIGURES,
@@ -35,7 +35,7 @@ from twoside.analysis import (
     variance_power,
 )
 from twoside.dist import Binomial, ChiSquare, FRatio, Triangular, TruncatedNormal, Uniform
-from twoside.pvalue import p_conditional
+from twoside.pvalue import p_conditional, p_min_likelihood
 
 CHISQ5 = ChiSquare(5)
 ALPHA = 0.05
@@ -309,20 +309,35 @@ def test_umpu_region_of_chi_square_is_the_minlik_region_two_df_up(k, alpha):
 
 
 def _outer_search_ends(monkeypatch, run) -> tuple[list[float], list[tuple[float, float]]]:
-    """The points where the region search sums its tails, and its brentq brackets."""
-    sums, brackets = [], []
-    tail_sum, solve = analysis._tail_sum, analysis.brentq
+    """The points where the region search sums its tails, and its brentq brackets.
 
-    def counted_sum(d, level, peak, x, rtol):
+    Tail sums and the right cut's partner search solve with the same brentq;
+    only the brackets solved outside them are the outer search's.
+    """
+    sums, brackets, depth = [], [], [0]
+    tail_sum, partner, solve = analysis._tail_sum, analysis._partner, roots.brentq
+
+    def nested(fn):
+        def call(*args):
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+        return call
+
+    def counted_sum(d, level, peak, x):
         sums.append(x)
-        return tail_sum(d, level, peak, x, rtol)
+        return nested(tail_sum)(d, level, peak, x)
 
-    def counted_solve(f, a, b, **kwargs):
-        brackets.append((a, b))
-        return solve(f, a, b, **kwargs)
+    def counted_solve(f, a, b):
+        if not depth[0]:
+            brackets.append((a, b))
+        return solve(f, a, b)
 
     monkeypatch.setattr(analysis, "_tail_sum", counted_sum)
-    monkeypatch.setattr(analysis, "brentq", counted_solve)
+    monkeypatch.setattr(analysis, "_partner", nested(partner))
+    monkeypatch.setattr(roots, "brentq", counted_solve)
     run()
     return sums, brackets
 
@@ -426,6 +441,46 @@ def test_minlik_region_boundary_mode():
         left, right = minlik_region(d, ALPHA)
         assert left == d.support().lo
         assert right == pytest.approx(d.quantile(1.0 - ALPHA), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, alpha, cut", [
+    # S(c) = e^(-c/2) for chi-square(2)
+    (ChiSquare(2), 1e-300, 1381.5510557964274),
+    # S(c) = (1 + c/4)^(-4) for F(2, 8)
+    (FRatio(2, 8), 1e-12, 3996.0),
+    # mpmath at 40 digits
+    (FRatio(1, 1), 1e-12, 4.0528473456935109e23),
+    (ChiSquare(1), 1e-300, 1373.8726312223941),
+], ids=repr)
+def test_one_sided_minlik_cut_is_taken_from_the_upper_tail(d, alpha, cut):
+    # 1 - alpha rounds at these levels, so no quantile of it holds the cut
+    left, right = minlik_region(d, alpha)
+    assert left == d.support().lo
+    assert right == pytest.approx(cut, rel=1e-14, abs=0.0)
+
+
+def test_one_sided_minlik_bias_at_a_small_level():
+    # F(1, 1): min power alpha e^-2 at rho = e^4, from mpmath
+    report = bias(FRatio(1, 1), "min_likelihood", 1e-12)
+    assert report.min_power == pytest.approx(1.35335283237e-13, rel=1e-9, abs=0.0)
+    assert report.bias < 0.0
+
+
+def test_one_sided_minlik_cut_beyond_the_float_range_is_refused():
+    # F(1, 1) at 1e-300 cuts near 4e599
+    with pytest.raises(ValueError, match="leaves the float range"):
+        minlik_region(FRatio(1, 1), 1e-300)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-6, 1e-12])
+@pytest.mark.parametrize("d", [ChiSquare(k) for k in range(3, 31)]
+                         + [FRatio(5, 10), FRatio(10, 20), FRatio(20, 40), FRatio(50, 80)],
+                         ids=repr)
+def test_minlik_p_value_equals_alpha_at_the_region_cuts(d, alpha):
+    # the region is where the p-value crosses alpha, and both solve for the
+    # partner with the same walk and tolerance
+    for cut in minlik_region(d, alpha):
+        assert p_min_likelihood(d, cut) == pytest.approx(alpha, rel=1e-13, abs=0.0)
 
 
 def test_minlik_region_truncation_above_the_cut_level():

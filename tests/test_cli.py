@@ -315,6 +315,15 @@ def test_variance_test_golden(capsys):
     assert set(results["p_two_sided"]) == {"doubled", "conditional", "min_likelihood"}
 
 
+def test_variance_test_far_in_the_upper_tail(capsys):
+    # statistic 300 on chi-square(5): the min-likelihood partner sits near
+    # 1e-41, which a bracket reaching down from the mode took too long to find
+    code, out, err = run(capsys, "test", "variance", "--s2", "60", "--n", "6",
+                         "--sigma0sq", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["p_two_sided"]["min_likelihood"] == 1.001530231e-62
+
+
 def test_variance_test_round_trip(capsys):
     _, out, _ = run(capsys, "test", "variance", "--s2", "2.679", "--n", "6",
                     "--sigma0sq", "1")

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside.cli import parse_dist
 from twoside.dist import (
     Binomial,
     ChiSquare,
@@ -28,6 +29,7 @@ from twoside.dist import (
 from twoside.pvalue import (
     METHODS,
     Weights,
+    _partner,
     conjugate_point,
     p_conditional,
     p_doubled,
@@ -469,17 +471,19 @@ def test_tail_weights_name_an_anchor_on_the_support_boundary(d, anchor):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("d, anchor", [(CHISQ5, 5.0), (Binomial(10, 0.2), 2.0),
-                                       (Binomial(11, 0.2), 2.2)])
-@pytest.mark.parametrize("method", ["conditional", "conditional_modified"])
-def test_passed_anchor_weights_give_the_same_floats(d, anchor, method):
-    w = tail_weights(d, anchor)
-    for x in (0.0, 1.0, 2.0, 3.0, 5.0, 7.5):
-        assert (p_value(d, x, method, anchor_value=anchor, anchor_weights=w)
-                == p_value(d, x, method, anchor_value=anchor))
-        assert (p_conditional(d, x, anchor, modified=method == "conditional_modified",
-                              weights=w)
-                == p_conditional(d, x, anchor, modified=method == "conditional_modified"))
+def test_tail_weights_are_memoized_and_errors_are_not():
+    tail_weights.cache_clear()
+    cold = tail_weights.__wrapped__(FRatio(7, 9), 1.0)
+    assert tail_weights(FRatio(7, 9), 1.0) == cold
+    hits = tail_weights.cache_info().hits
+    assert tail_weights(FRatio(7, 9), 1.0) == cold
+    assert tail_weights.cache_info().hits == hits + 1
+    assert tail_weights.cache_info().maxsize == 256
+    size = tail_weights.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="support boundary"):
+            tail_weights(CHISQ5, 0.0)
+    assert tail_weights.cache_info().currsize == size
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +543,20 @@ def test_conjugate_point_errors():
     assert conjugate_point(ChiSquare(1), 2.0) is None
 
 
+def test_partner_of_a_point_an_ulp_below_the_peak():
+    # a tent level peaking at 1 on the finite support [-4, 4]: the mirror
+    # image of the float just below 1 is a rounding tie and rounds to 1
+    # itself, though the two levels differ, so the walk must not start there
+    d = Triangular(4.0, 4.0)
+
+    def level(t):
+        return 1.0 - abs(t - 1.0)
+
+    x = math.nextafter(1.0, 0.0)
+    assert 2.0 - x == 1.0 and level(x) < level(1.0)
+    assert _partner(d, level, 1.0, x) == 1.0
+
+
 def test_pc_equivalent_point_golden():
     x_eq = pc_equivalent_point(CHISQ5, 0.5, 5.0)
     assert x_eq == pytest.approx(16.48, abs=5e-3)
@@ -564,6 +582,64 @@ def test_pc_equivalent_point_edge_cases():
         pc_equivalent_point(u, 0.5, 0.5)
     with pytest.raises(ValueError, match="continuous"):
         pc_equivalent_point(Binomial(10, 0.2), 3, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# minimum likelihood far in the upper tail
+
+# upper 1e-20, 1e-50, 1e-100, 1e-200 and 1e-300 points, from mpmath, to four
+# digits; the partner of each sits far below the mode, often near 0
+FAR_TAIL = [
+    ("chisq:3", [96.24, 235.3, 466.2, 927.4, 1388.0]),
+    ("chisq:4", [99.97, 239.8, 471.5, 933.3, 1395.0]),
+    ("chisq:5", [103.4, 244.1, 476.4, 938.9, 1401.0]),
+    ("chisq:6", [106.7, 248.2, 481.1, 944.3, 1406.0]),
+    ("chisq:7", [109.8, 252.1, 485.6, 949.5, 1412.0]),
+    ("chisq:8", [112.8, 255.8, 490.0, 954.5, 1417.0]),
+    ("chisq:9", [115.7, 259.5, 494.2, 959.4, 1423.0]),
+    ("chisq:10", [118.5, 263.0, 498.3, 964.1, 1428.0]),
+    ("chisq:11", [121.3, 266.4, 502.4, 968.8, 1433.0]),
+    ("chisq:12", [124.0, 269.8, 506.3, 973.4, 1438.0]),
+    ("chisq:13", [126.6, 273.1, 510.2, 977.8, 1443.0]),
+    ("chisq:14", [129.2, 276.3, 514.0, 982.3, 1447.0]),
+    ("chisq:15", [131.7, 279.5, 517.7, 986.6, 1452.0]),
+    ("chisq:16", [134.2, 282.6, 521.4, 990.9, 1457.0]),
+    ("chisq:17", [136.6, 285.7, 525.0, 995.1, 1461.0]),
+    ("chisq:18", [139.0, 288.7, 528.6, 999.3, 1466.0]),
+    ("chisq:19", [141.4, 291.7, 532.1, 1003.0, 1470.0]),
+    ("chisq:20", [143.7, 294.6, 535.6, 1007.0, 1475.0]),
+    ("chisq:21", [146.0, 297.6, 539.0, 1011.0, 1479.0]),
+    ("chisq:22", [148.3, 300.4, 542.4, 1015.0, 1484.0]),
+    ("chisq:23", [150.6, 303.3, 545.8, 1019.0, 1488.0]),
+    ("chisq:24", [152.8, 306.1, 549.1, 1023.0, 1492.0]),
+    ("chisq:25", [155.0, 308.9, 552.4, 1027.0, 1496.0]),
+    ("chisq:26", [157.2, 311.6, 555.7, 1031.0, 1500.0]),
+    ("chisq:27", [159.4, 314.3, 558.9, 1035.0, 1505.0]),
+    ("chisq:28", [161.5, 317.0, 562.1, 1039.0, 1509.0]),
+    ("chisq:29", [163.7, 319.7, 565.3, 1042.0, 1513.0]),
+    ("chisq:30", [165.8, 322.4, 568.4, 1046.0, 1517.0]),
+    ("chisq:100", [292.3, 478.3, 752.9, 1264.0, 1757.0]),
+    ("chisq:300", [586.4, 826.2, 1156.0, 1738.0, 2279.0]),
+    ("f:3,7", [1539000.0, 573500000000000.0, 1.107e+29, 4.128e+57, 1.539e+86]),
+    ("f:5,10", [32720.0, 32730000000.0, 3.273e+20, 3.273e+40, 3.273e+60]),
+    ("f:10,20", [396.4, 399100.0, 39910000000.0, 3.991e+20, 3.991e+30]),
+    ("f:20,40", [41.89, 1413.0, 447800.0, 44780000000.0, 4478000000000000.0]),
+    ("f:50,80", [11.14, 74.91, 1375.0, 435600.0, 137800000.0]),
+]
+
+
+@pytest.mark.parametrize("law, xs", FAR_TAIL, ids=[law for law, _ in FAR_TAIL])
+def test_min_likelihood_far_in_the_upper_tail(law, xs):
+    d = parse_dist(law)
+    for x in xs:
+        p = p_min_likelihood(d, x)
+        assert d.sf(x) <= p <= 1.0, x
+
+
+@pytest.mark.parametrize("df, x, expected", [(5, 300.0, 1.0015302306e-62),
+                                             (10, 400.0, 9.41329199118e-80)])
+def test_min_likelihood_far_tail_against_frozen_mpmath(df, x, expected):
+    assert p_min_likelihood(ChiSquare(df), x) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ def test_region_commands_at_the_edges(law, alpha):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             status = main(argv)
         where = " ".join(argv)
+        assert "probability must lie in (0, 1)" not in err.getvalue(), where
         if float(alpha) >= 1e-12:
             assert (status, err.getvalue()) == (0, ""), where
         else:
