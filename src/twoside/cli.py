@@ -29,7 +29,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
-from . import analysis, pvalue, stattests
+from . import pvalue
 from ._record import Record
 from .dist import (
     Binomial,
@@ -77,9 +77,8 @@ _METHOD_ALIASES = {**{m: m for m in pvalue.METHODS if m != pvalue.WEIGHTED},
                    "conditional-modified": pvalue.CONDITIONAL_MODIFIED,
                    "minlik": pvalue.MIN_LIKELIHOOD}
 
-_BIAS_METHOD_ALIASES = {name: method
-                        for name, method in {**_METHOD_ALIASES, "umpu": analysis.UMPU}.items()
-                        if method in analysis.BIAS_METHODS}
+# analysis.FIGURES, written out so that building the parser does not import analysis
+_FIGURES = ("fig1", "fig2", "fig3", "fig4")
 
 # what a command handler returns: the command name, the echoed inputs, and
 # either the JSON results (a dict or a result record) or finished CSV text
@@ -321,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "p-value curves for chisq5 (x in [0,20]) and truncnorm05 (x in [-0.5,4]); "
              "the doubled series is untruncated. fig4: panel, x, four p-value curves "
              "over the support of binom10 and binom11 (p=0.2).")
-    a_fig.add_argument("--which", required=True, choices=analysis.FIGURES,
+    a_fig.add_argument("--which", required=True, choices=_FIGURES,
                        help="which figure's data to emit")
     a_fig.add_argument("--resolution", default=512, type=int,
                        help="grid resolution for continuous axes, 4 to 100000 (default 512)")
@@ -374,6 +373,8 @@ def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
 
 
 def _cmd_test(args: argparse.Namespace) -> _Payload:
+    from . import stattests
+
     anchor = parse_anchor(args.anchor)
     methods = _method_names(args.method, args.subcommand in ("binomial", "fisher"))
     if args.subcommand == "variance":
@@ -436,7 +437,20 @@ def _table_results(rows: list[dict], fmt: str) -> dict | str:
     return {"rows": rows}
 
 
+@functools.cache
+def _bias_method_aliases() -> dict[str, str]:
+    """``analyze bias --method`` words: the p-value method names and aliases
+    whose method has a bias report, and umpu. Built by the first ``bias``
+    request; callers only read it."""
+    from . import analysis
+
+    return {name: method for name, method in {**_METHOD_ALIASES, "umpu": analysis.UMPU}.items()
+            if method in analysis.BIAS_METHODS}
+
+
 def _cmd_analyze(args: argparse.Namespace) -> _Payload:
+    from . import analysis
+
     if args.subcommand == "umpu":
         d = parse_dist(args.dist)
         w_star, region = analysis.umpu_weights(d, args.alpha)
@@ -453,10 +467,11 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
 
     if args.subcommand == "bias":
         d = parse_dist(args.dist)
-        if args.method not in _BIAS_METHOD_ALIASES:
+        aliases = _bias_method_aliases()
+        if args.method not in aliases:
             raise UsageError(f"unknown bias method {args.method!r}; expected one of "
                              + ", ".join(analysis.BIAS_METHODS))
-        report = analysis.bias(d, _BIAS_METHOD_ALIASES[args.method], args.alpha,
+        report = analysis.bias(d, aliases[args.method], args.alpha,
                                anchor=parse_anchor(args.anchor))
         inputs = {"dist": args.dist, "method": args.method, "alpha": args.alpha,
                   "anchor": args.anchor}

@@ -198,7 +198,9 @@ class FRatio(Distribution, Record):
     def cdf(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
-        y = self.d1 * x / (self.d1 * x + self.d2)
+        d1x = self.d1 * x
+        # past the float range d1*x/(d1*x + d2) would be inf/inf; it rounds to 1
+        y = 1.0 if d1x == math.inf else d1x / (d1x + self.d2)
         return specfun.reg_beta(y, self.d1 / 2.0, self.d2 / 2.0)
 
     def sf(self, x: float) -> float:

@@ -115,8 +115,8 @@ def resolve_anchor(d: Distribution, anchor: TailAnchor) -> float:
     """Resolve "mean" / "mode" / "median" / an explicit number to a point.
 
     The mode is rejected when it is not unique (flat or two-point-tied
-    densities), and explicit values must lie inside the closed convex hull
-    of the support.
+    densities), and explicit values must be finite and lie inside the closed
+    convex hull of the support.
     """
     if isinstance(anchor, str):
         if anchor == MEAN:
@@ -135,6 +135,8 @@ def resolve_anchor(d: Distribution, anchor: TailAnchor) -> float:
     value = float(anchor)
     if math.isnan(value):
         raise ValueError("anchor value must not be NaN")
+    if math.isinf(value):
+        raise ValueError(f"anchor value must be finite, got {value!r}")
     sup = d.support()
     if not (sup.lo <= value <= sup.hi):
         raise ValueError(f"anchor {value!r} lies outside the support [{sup.lo!r}, {sup.hi!r}]")

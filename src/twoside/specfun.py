@@ -10,7 +10,8 @@ about 7.5 sqrt(a) terms near x = a, and the common prefactor is taken in
 Stirling form to avoid cancellation. Inverses use Newton iteration
 safeguarded by a maintained bracket, falling back to bisection whenever a
 Newton step would leave it, and returning once a step is within tolerance.
-The normal quantile is ``statistics.NormalDist().inv_cdf`` (Wichura, AS 241).
+The normal quantile is ``statistics.NormalDist().inv_cdf`` (Wichura, AS 241);
+``statistics`` is imported by the first quantile asked for, not with this module.
 
 Everything here is a pure function of its arguments and safe to call
 concurrently, so the incomplete gamma/beta kernels ``reg_gamma_lower``,
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import statistics
 from typing import Callable
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _TINY = 1e-300
-_STANDARD_NORMAL = statistics.NormalDist()
+_STANDARD_NORMAL = None  # statistics.NormalDist(), made by the first norm_quantile call
 
 # Convergence targets of the iterative kernels: a relative tolerance on the
 # converged value (or on the argument, for the inverses), far tighter than
@@ -380,6 +380,11 @@ def norm_pdf(x: float) -> float:
 
 def norm_quantile(p: float) -> float:
     """Inverse of ``norm_cdf`` on (0, 1)."""
+    global _STANDARD_NORMAL
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p!r}")
+    if _STANDARD_NORMAL is None:
+        from statistics import NormalDist
+
+        _STANDARD_NORMAL = NormalDist()
     return _STANDARD_NORMAL.inv_cdf(p)

@@ -13,7 +13,6 @@ both sides: p_left = P(X <= x) and p_right = P(X >= x).
 from __future__ import annotations
 
 import math
-import statistics
 from typing import Sequence
 
 from ._record import Record
@@ -202,12 +201,25 @@ def variance_test(s2: float, n: int, sigma0_sq: float, *, anchor: TailAnchor = "
 def variance_test_from_sample(sample: Sequence[float], sigma0_sq: float, *,
                               anchor: TailAnchor = "mean",
                               methods: Sequence[str] | None = None) -> TestReport:
-    """Variance test from raw observations, using the n-1 denominator."""
+    """Variance test from raw observations, using the n-1 denominator.
+
+    Every observation must be finite; the error names the first that is not
+    by its position, counted from 1.
+    """
     n = len(sample)
     if n < 2:
         raise ValueError(f"need at least two observations, got {n}")
-    return variance_test(statistics.variance(sample), n, sigma0_sq,
-                         anchor=anchor, methods=methods)
+    for i, x in enumerate(sample, start=1):
+        if not math.isfinite(x):
+            raise ValueError(f"observation {i} must be finite, got {x!r}")
+    import statistics
+
+    try:
+        s2 = statistics.variance(sample)
+    except OverflowError:
+        raise ValueError(f"the sample variance of the {n} observations overflows "
+                         f"the float range") from None
+    return variance_test(s2, n, sigma0_sq, anchor=anchor, methods=methods)
 
 
 def f_test(s1_sq: float, n1: int, s2_sq: float, n2: int, *, anchor: TailAnchor = "mean",

@@ -1116,12 +1116,16 @@ def test_import_builds_no_parser():
     assert _run_probe(probe) == "0\n"
 
 
-def _modules_loaded_by_import(names: set[str]) -> str:
-    # modules that site already loaded in a bare interpreter do not count
+def _modules_loaded_by_import(names: set[str], *argvs: list[str]) -> str:
+    # modules that site already loaded in a bare interpreter do not count;
+    # each argv runs through main() after the import and must exit 0
     return _run_probe(
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "bare = set(sys.modules)\n"
         "import twoside.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert twoside.cli.main(argv) == 0, argv\n"
         f"print(sorted({names!r} & (set(sys.modules) - bare)))\n"
     )
 
@@ -1132,6 +1136,99 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 def test_import_loads_no_csv():
     assert _modules_loaded_by_import({"csv"}) == "[]\n"
+
+
+# the layers a command loads only when it needs them
+DEFERRED = {"twoside.analysis", "twoside.stattests", "statistics"}
+
+
+def test_import_loads_no_deferred_layer():
+    assert _modules_loaded_by_import(DEFERRED) == "[]\n"
+
+
+def test_pvalue_loads_no_deferred_layer():
+    loaded = _modules_loaded_by_import(DEFERRED,
+                                       ["pvalue", "--dist", "chisq:5", "--x", "3"],
+                                       ["pvalue", "--dist", "binom:10,0.2", "--x", "5"])
+    assert loaded == "[]\n"
+
+
+def test_variance_test_loads_stattests_alone():
+    loaded = _modules_loaded_by_import(
+        DEFERRED, ["test", "variance", "--s2", "0.2", "--n", "6", "--sigma0sq", "1"])
+    assert loaded == "['twoside.stattests']\n"
+
+
+def test_figure_choices_are_the_analysis_figures():
+    # the parser lists them without importing analysis
+    figure, _ = cli._build_parser().leaves[("analyze", "figure")]
+    which = next(a for a in figure._actions if a.dest == "which")
+    assert which.choices == cli._FIGURES == analysis.FIGURES
+
+
+def test_bias_aliases_map_to_exactly_the_bias_methods():
+    aliases = cli._bias_method_aliases()
+    assert set(aliases.values()) == set(analysis.BIAS_METHODS)
+    assert all(aliases[method] == method for method in analysis.BIAS_METHODS)
+    assert aliases["minlik"] == pvalue.MIN_LIKELIHOOD
+
+
+def test_star_import_binds_every_export_in_a_fresh_interpreter():
+    probe = (
+        "import twoside\n"
+        "names = {}\n"
+        "exec('from twoside import *', names)\n"
+        "print(sorted(set(twoside.__all__) - set(names)),"
+        " sorted(set(names) - set(twoside.__all__) - {'__builtins__'}),"
+        " sorted(set(twoside.__all__) - set(dir(twoside))))\n"
+    )
+    assert _run_probe(probe) == "[] [] []\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["pvalue", "--dist", "chisq:5", "--x", "3"],
+    ["pvalue", "--dist", "f:5,10", "--x", "3"],
+    ["pvalue", "--dist", "truncnorm:1", "--x", "3"],
+    ["test", "variance", "--s2", "0.2", "--n", "6", "--sigma0sq", "1"],
+    ["test", "f", "--s1sq", "2", "--n1", "7", "--s2sq", "1", "--n2", "12"],
+    ["analyze", "bias", "--dist", "chisq:5", "--method", "conditional", "--alpha", "0.05"],
+], ids=" ".join)
+@pytest.mark.parametrize("value", ["inf", "1e400", "-inf"])
+def test_non_finite_anchor_is_rejected_by_name(capsys, argv, value):
+    # 1e400 parses to inf; no kernel sees the anchor
+    code, out, err = run(capsys, *argv, "--anchor", f"value:{value}")
+    assert code == 3 and out == ""
+    assert err == f"error: anchor value must be finite, got {float(value)!r}\n"
+
+
+def test_f_test_with_the_statistic_near_the_float_max_exits_zero(capsys):
+    # d1 * statistic overflows inside the F cdf; the cdf is 1 there
+    code, out, err = run(capsys, "test", "f", "--s1sq", "1e308", "--n1", "6",
+                         "--s2sq", "1", "--n2", "11")
+    assert code == 0 and err == ""
+    results = json.loads(out)["results"]
+    assert results["statistic"] == 1e308
+    assert (results["p_left"], results["p_right"]) == (1.0, 0.0)
+
+
+def test_f_anchor_near_the_float_max_is_a_support_error(capsys):
+    code, out, err = run(capsys, "pvalue", "--dist", "f:5,10", "--x", "3",
+                         "--anchor", "value:4e307")
+    assert code == 3 and out == ""
+    assert "support boundary" in err and "nan" not in err
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("1\nnan\n3\n", "error: observation 2 must be finite, got nan\n"),
+    ("1\n2\ninf\n", "error: observation 3 must be finite, got inf\n"),
+    ("1e308\n-1e308\n", "error: the sample variance of the 2 observations overflows "
+                         "the float range\n"),
+], ids=["nan", "inf", "overflow"])
+def test_data_file_edge_samples_are_domain_errors(capsys, tmp_path, lines, message):
+    data = tmp_path / "edge.txt"
+    data.write_text(lines, encoding="utf-8")
+    code, out, err = run(capsys, "test", "variance", "--data", str(data), "--sigma0sq", "1")
+    assert (code, out, err) == (3, "", message)
 
 
 def test_data_file_errors(capsys, tmp_path):

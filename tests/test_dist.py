@@ -12,6 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 import random
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
@@ -421,6 +422,15 @@ def test_f_ratio_moments_and_mode():
     d = FRatio(7, 7)
     for q in (1.7, 2.9):
         assert d.cdf(1.0 / q) == pytest.approx(d.sf(q), abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [4e307, 1e308, sys.float_info.max])
+def test_f_ratio_cdf_is_one_where_d1_x_overflows(x):
+    # d1*x/(d1*x + d2) would be inf/inf; the cdf is 1 to the last float
+    assert FRatio(5, 10).cdf(x) == 1.0
+    assert FRatio(5, 10).sf(x) == 0.0
+    with pytest.raises(ValueError, match="got nan"):
+        FRatio(5, 10).cdf(math.nan)  # NaN is no overflow
 
 
 def test_chi_square_small_df_density_limits():

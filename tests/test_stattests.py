@@ -90,6 +90,23 @@ def test_variance_test_from_sample():
         variance_test_from_sample([1.0], 1.0)
 
 
+@pytest.mark.parametrize("sample, message", [
+    ([1.0, math.nan, 3.0], "observation 2 must be finite, got nan"),
+    ([1.0, 2.0, math.inf], "observation 3 must be finite, got inf"),
+    ([-math.inf, 2.0], "observation 1 must be finite, got -inf"),
+])
+def test_variance_test_from_sample_names_a_non_finite_observation(sample, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        variance_test_from_sample(sample, 1.0)
+
+
+@pytest.mark.parametrize("sample", [[1e308, -1e308], [1e308, 1e308, -1e308]])
+def test_variance_test_from_sample_overflowing_variance_is_a_domain_error(sample):
+    # statistics.variance raises OverflowError; the test reports a ValueError
+    with pytest.raises(ValueError, match="sample variance .* overflows"):
+        variance_test_from_sample(sample, 1.0)
+
+
 class _LogImage:
     """Distribution of log(X) for a positive-support base distribution."""
 
