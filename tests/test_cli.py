@@ -1031,6 +1031,33 @@ MALFORMED_ARGVS = [
 ]
 
 
+GOLDEN_USAGE = json.loads(Path(__file__).with_name("golden_usage.json").read_text(encoding="utf-8"))
+
+# the help of the top parser, of both groups and of every leaf, then the malformed argvs
+USAGE_ARGVS = [["--help"], ["test", "--help"], ["analyze", "--help"],
+               *([*words, "--help"] for words in sorted(LEAVES))]
+USAGE_ARGVS += [argv for argv in MALFORMED_ARGVS if argv not in USAGE_ARGVS]
+
+
+def _usage_record(argv: list[str]) -> dict:
+    code, out, err = _main_into_fresh_streams(*argv)
+    return {"argv": argv, "status": code, "stdout": out, "stderr": err}
+
+
+def test_usage_text_is_pinned(monkeypatch):
+    # golden_usage.json holds, for each of USAGE_ARGVS, what main printed with
+    # COLUMNS=80 on the Python minor version it names; re-record it with
+    # {"python": ..., "records": [_usage_record(argv) for argv in USAGE_ARGVS]}
+    recorded = GOLDEN_USAGE["python"]
+    if sys.version_info[:2] != tuple(map(int, recorded.split("."))):
+        pytest.skip(f"argparse's help layout differs between Python minor versions; "
+                    f"the pins were recorded on {recorded}")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert [r["argv"] for r in GOLDEN_USAGE["records"]] == USAGE_ARGVS
+    for record in GOLDEN_USAGE["records"]:
+        assert _usage_record(record["argv"]) == record
+
+
 def _parsed(parse, argv: list[str]) -> tuple:
     # exit status, the namespace as a dict (None on exit) and both streams
     out, err = io.StringIO(), io.StringIO()
