@@ -69,6 +69,7 @@ TABLE1_PS = (0.1, 0.2)
 
 FIGURES = ("fig1", "fig2", "fig3", "fig4")
 _MAX_RESOLUTION = 100_000  # about 200 times the default 512; bounds fig1/fig3 time and memory
+_MAX_TABLE_ROWS = 100_001  # as margins 100000,100000,300000 give; time and memory are linear
 
 # bias minimization range over rho: the closed-form argmin is clamped to it
 _RHO_LOG_LO = -4.0
@@ -307,12 +308,17 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     """Per-table p-values across a whole margin family, one row per n11.
 
     Columns: n11, prob = P(n11), p_one_sided = min of the two inclusive
-    tails, p_min_likelihood, and p_conditional about the mean anchor.
+    tails, p_min_likelihood, and p_conditional about the mean anchor. At
+    most 100,001 rows: a larger family is a ``ValueError``.
     """
     d = Hypergeometric(row1, col1, total)
+    points = d.support().points()
+    if len(points) > _MAX_TABLE_ROWS:
+        raise ValueError(f"the margin family has {len(points)} tables; "
+                         f"at most {_MAX_TABLE_ROWS} are tabulated")
     a = d.mean()
     rows = []
-    for k in d.support().points():
+    for k in points:
         x = float(k)
         rows.append({
             "n11": k,

@@ -15,8 +15,9 @@ deterministic for identical inputs. Exit codes: 0 success, 2 usage error,
 failure (an ``ArithmeticError``, e.g. a special function that did not
 converge).
 
-A command line that names a subcommand (``pvalue``, ``test f``, ...) is
-parsed by that subcommand's parser alone, as the whole parser would parse it.
+A command line that names a leaf command (``pvalue``, ``test f``, ...) builds
+and parses that leaf alone from the one command table, ``_COMMANDS``, as the
+whole tree would parse it; anything else builds the whole tree from that table.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ _DIST_HELP = ("distribution as family:p1,p2,... — one of "
               + "; ".join(f"{family}:{','.join(params)}"
                           for family, params in _DIST_PARAMS.items()))
 
-_ANCHOR_HELP = "tail anchor: mean, mode, median, or value:V (default mean)"
-
 _METHOD_HELP = ("comma-separated p-value methods: doubled, conditional, "
                 "conditional_modified, min_likelihood (alias minlik), "
                 "weighted:WL, or all (default all)")
@@ -76,14 +75,6 @@ _METHOD_HELP = ("comma-separated p-value methods: doubled, conditional, "
 _METHOD_ALIASES = {**{m: m for m in pvalue.METHODS if m != pvalue.WEIGHTED},
                    "conditional-modified": pvalue.CONDITIONAL_MODIFIED,
                    "minlik": pvalue.MIN_LIKELIHOOD}
-
-# analysis.FIGURES, written out so that building the parser does not import analysis
-_FIGURES = ("fig1", "fig2", "fig3", "fig4")
-
-# what a command handler returns: the command name, the echoed inputs, and
-# either the JSON results (a dict or a result record) or finished CSV text
-_Payload = tuple[str, dict, object]
-
 
 def _parse_number(token: str, kind: str, context: str) -> float | int:
     token = token.strip()
@@ -233,107 +224,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built on the first main() call and reused by every later one:
-    # parse_args returns a fresh Namespace each time, and argparse looks up
-    # sys.stdout/sys.stderr and the terminal width only when it prints.
-    parser = _ArgumentParser(
-        prog="twoside",
-        description="Two-sided p-values, tests, and power/bias analysis "
-                    "for asymmetric null distributions.",
-    )
-    top = parser.add_subparsers(dest="command", required=True, metavar="command")
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", help="write output to a file instead of stdout")
-
-    p_pv = top.add_parser("pvalue", parents=[out], help="two-sided p-values for one observation")
-    p_pv.add_argument("--dist", required=True, help=_DIST_HELP)
-    p_pv.add_argument("--x", required=True, type=float, help="observed value")
-    p_pv.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
-    p_pv.add_argument("--method", default="all", help=_METHOD_HELP)
-    p_pv.add_argument("--no-truncate", action="store_true",
-                      help="report the doubled p-value without capping at 1")
-
-    p_test = top.add_parser("test", help="statistical tests")
-    test_sub = p_test.add_subparsers(dest="subcommand", required=True, metavar="kind")
-
-    t_var = test_sub.add_parser("variance", parents=[out], help="one-sample variance test")
-    t_var.add_argument("--s2", type=float, help="sample variance")
-    t_var.add_argument("--n", type=int, help="sample size")
-    t_var.add_argument("--data", help="file with one observation per line "
-                                      "(alternative to --s2/--n)")
-    t_var.add_argument("--sigma0sq", required=True, type=float, help="null variance")
-
-    t_f = test_sub.add_parser("f", parents=[out], help="two-sample variance-ratio test")
-    t_f.add_argument("--s1sq", required=True, type=float, help="first sample variance")
-    t_f.add_argument("--n1", required=True, type=int, help="first sample size")
-    t_f.add_argument("--s2sq", required=True, type=float, help="second sample variance")
-    t_f.add_argument("--n2", required=True, type=int, help="second sample size")
-
-    t_b = test_sub.add_parser("binomial", parents=[out], help="exact binomial test")
-    t_b.add_argument("--x", required=True, type=int, help="number of successes")
-    t_b.add_argument("--n", required=True, type=int, help="number of trials")
-    t_b.add_argument("--p0", required=True, type=float, help="null success probability")
-
-    t_fi = test_sub.add_parser("fisher", parents=[out], help="Fisher's exact test for a 2x2 table")
-    t_fi.add_argument("--table", required=True,
-                      help="cell counts a,b,c,d (row-major: n11,n12,n21,n22)")
-
-    for sub in (t_var, t_f, t_b, t_fi):
-        sub.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
-        sub.add_argument("--method", default=None, help=_METHOD_HELP)
-
-    p_an = top.add_parser("analyze", help="power, bias, and table/figure data")
-    an_sub = p_an.add_subparsers(dest="subcommand", required=True, metavar="what")
-
-    a_umpu = an_sub.add_parser("umpu", parents=[out],
-                               help="unbiased-test weights and critical region")
-    a_umpu.add_argument("--dist", required=True, help=_DIST_HELP)
-    a_umpu.add_argument("--alpha", required=True, type=float, help="test level")
-
-    a_bias = an_sub.add_parser("bias", parents=[out],
-                               help="minimum power minus level over alternatives")
-    a_bias.add_argument("--dist", required=True, help=_DIST_HELP)
-    a_bias.add_argument("--method", required=True,
-                        help="doubled, conditional, umpu, or min_likelihood")
-    a_bias.add_argument("--alpha", required=True, type=float, help="test level")
-    a_bias.add_argument("--anchor", default="mean", help=_ANCHOR_HELP)
-
-    a_t1 = an_sub.add_parser("table1", parents=[out], help="binomial tail-weight table")
-    a_t1.add_argument("--n", default=None, help="comma-separated sample sizes")
-    a_t1.add_argument("--p", default=None, help="comma-separated success probabilities")
-    a_t1.add_argument("--format", default="json", choices=("json", "csv"),
-                      help="output format (default json)")
-
-    a_t2 = an_sub.add_parser("table2", parents=[out], help="hypergeometric p-value table")
-    a_t2.add_argument("--margins", required=True,
-                      help="row1,col1,total of the margin family")
-    a_t2.add_argument("--format", default="json", choices=("json", "csv"),
-                      help="output format (default json)")
-
-    a_fig = an_sub.add_parser(
-        "figure", parents=[out],
-        help="figure-data series (CSV). fig1: rho, power of the four 5%%-level "
-             "chi-square(5) tests. fig2: panel, n, bias of doubled/conditional tests "
-             "(one_sample n=3..50; two_sample n1=6, n2=4..50). fig3: panel, x, three "
-             "p-value curves for chisq5 (x in [0,20]) and truncnorm05 (x in [-0.5,4]); "
-             "the doubled series is untruncated. fig4: panel, x, four p-value curves "
-             "over the support of binom10 and binom11 (p=0.2).")
-    a_fig.add_argument("--which", required=True, choices=_FIGURES,
-                       help="which figure's data to emit")
-    a_fig.add_argument("--resolution", default=512, type=int,
-                       help="grid resolution for continuous axes, 4 to 100000 (default 512)")
-
-    # command words -> (leaf parser, the dests its enclosing parsers set)
-    parser.leaves = {("pvalue",): (p_pv, {"command": "pvalue"})}
-    for command, kinds in (("test", test_sub), ("analyze", an_sub)):
-        parser.leaves.update({(command, kind): (leaf, {"command": command, "subcommand": kind})
-                              for kind, leaf in kinds.choices.items()})
-    return parser
-
-
-def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
+def _cmd_pvalue(args: argparse.Namespace) -> tuple[dict, object]:
     d = parse_dist(args.dist)
     anchor = parse_anchor(args.anchor)
     methods = parse_methods(args.method, d.is_discrete)
@@ -358,7 +249,7 @@ def _cmd_pvalue(args: argparse.Namespace) -> _Payload:
         "weights": weights,
         "p_values": p_values,
     }
-    return "pvalue", inputs, results
+    return inputs, results
 
 
 def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
@@ -372,12 +263,13 @@ def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
     return names
 
 
-def _cmd_test(args: argparse.Namespace) -> _Payload:
+def _cmd_test(args: argparse.Namespace) -> tuple[dict, object]:
     from . import stattests
 
+    kind = args.command[1]
     anchor = parse_anchor(args.anchor)
-    methods = _method_names(args.method, args.subcommand in ("binomial", "fisher"))
-    if args.subcommand == "variance":
+    methods = _method_names(args.method, kind in ("binomial", "fisher"))
+    if kind == "variance":
         if args.data is not None:
             if args.s2 is not None or args.n is not None:
                 raise UsageError("pass either --data or --s2/--n, not both")
@@ -391,11 +283,11 @@ def _cmd_test(args: argparse.Namespace) -> _Payload:
             report = stattests.variance_test(args.s2, args.n, args.sigma0sq,
                                              anchor=anchor, methods=methods)
             inputs = {"s2": args.s2, "n": args.n, "sigma0sq": args.sigma0sq}
-    elif args.subcommand == "f":
+    elif kind == "f":
         report = stattests.f_test(args.s1sq, args.n1, args.s2sq, args.n2,
                                   anchor=anchor, methods=methods)
         inputs = {"s1sq": args.s1sq, "n1": args.n1, "s2sq": args.s2sq, "n2": args.n2}
-    elif args.subcommand == "binomial":
+    elif kind == "binomial":
         report = stattests.binomial_test(args.x, args.n, args.p0,
                                          anchor=anchor, methods=methods)
         inputs = {"x": args.x, "n": args.n, "p0": args.p0}
@@ -409,7 +301,7 @@ def _cmd_test(args: argparse.Namespace) -> _Payload:
     inputs["anchor"] = args.anchor
     if args.method is not None:
         inputs["method"] = args.method
-    return f"test.{args.subcommand}", inputs, report
+    return inputs, report
 
 
 def _read_sample(path: str) -> list[float]:
@@ -448,13 +340,13 @@ def _bias_method_aliases() -> dict[str, str]:
             if method in analysis.BIAS_METHODS}
 
 
-def _cmd_analyze(args: argparse.Namespace) -> _Payload:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, object]:
     from . import analysis
 
-    if args.subcommand == "umpu":
+    kind = args.command[1]
+    if kind == "umpu":
         d = parse_dist(args.dist)
         w_star, region = analysis.umpu_weights(d, args.alpha)
-        inputs = {"dist": args.dist, "alpha": args.alpha}
         results = {
             "w_left": w_star,
             "c_left": region.c_left,
@@ -463,9 +355,9 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
             "alpha_right": (1.0 - w_star) * args.alpha,
             "anchor": region.anchor,
         }
-        return "analyze.umpu", inputs, results
+        return {"dist": args.dist, "alpha": args.alpha}, results
 
-    if args.subcommand == "bias":
+    if kind == "bias":
         d = parse_dist(args.dist)
         aliases = _bias_method_aliases()
         if args.method not in aliases:
@@ -475,52 +367,152 @@ def _cmd_analyze(args: argparse.Namespace) -> _Payload:
                                anchor=parse_anchor(args.anchor))
         inputs = {"dist": args.dist, "method": args.method, "alpha": args.alpha,
                   "anchor": args.anchor}
-        return "analyze.bias", inputs, report
+        return inputs, report
 
-    if args.subcommand == "table1":
-        ns = _parse_list(args.n, "int", "table1 n") if args.n else list(analysis.TABLE1_NS)
-        ps = _parse_list(args.p, "float", "table1 p") if args.p else list(analysis.TABLE1_PS)
+    if kind == "table1":
+        # an empty --n or --p is a malformed list, not the default grid
+        ns = list(analysis.TABLE1_NS) if args.n is None else _parse_list(args.n, "int", "table1 n")
+        ps = list(analysis.TABLE1_PS) if args.p is None else _parse_list(args.p, "float", "table1 p")
         rows = analysis.binomial_weight_table(ns, ps)
-        return "analyze.table1", {"n": ns, "p": ps}, _table_results(rows, args.format)
+        return {"n": ns, "p": ps}, _table_results(rows, args.format)
 
-    if args.subcommand == "table2":
+    if kind == "table2":
         margins = _parse_list(args.margins, "int", "margins")
         if len(margins) != 3:
             raise UsageError(f"--margins needs row1,col1,total, got {len(margins)} values")
         rows = analysis.fisher_pvalue_table(*margins)
-        return "analyze.table2", {"margins": margins}, _table_results(rows, args.format)
+        return {"margins": margins}, _table_results(rows, args.format)
 
     header, rows = analysis.figure_data(args.which, args.resolution)
-    inputs = {"which": args.which, "resolution": args.resolution}
-    return "analyze.figure", inputs, _render_csv(header, rows)
+    return {"which": args.which, "resolution": args.resolution}, _render_csv(header, rows)
 
 
-def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, parsing a leaf's argv in one pass instead of three.
+_ANCHOR = dict(default="mean", help="tail anchor: mean, mode, median, or value:V (default mean)")
+_TEST_ARGUMENTS = {"--anchor": _ANCHOR, "--method": dict(help=_METHOD_HELP)}
+_FORMAT = dict(default="json", choices=("json", "csv"), help="output format (default json)")
 
-    As in parse_args, the leaf reads every word after its command words and
-    the top parser reports the words it leaves. Other argvs take the whole parser.
-    """
-    leaf = parser.leaves.get(tuple(argv[:1])) or parser.leaves.get(tuple(argv[:2]))
-    if leaf is None:
-        return parser.parse_args(argv)
-    sub, words = leaf
-    args, extras = sub.parse_known_args(argv[len(words):], argparse.Namespace(**words))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+# leaf command words -> (help, handler, {flag: add_argument keywords}); each leaf takes --out
+# first. A handler returns the echoed inputs and either the JSON results (a dict or a result
+# record) or finished CSV text, for the command named by the words joined with dots (test.f).
+_COMMANDS = {
+    ("pvalue",): ("two-sided p-values for one observation", _cmd_pvalue, {
+        "--dist": dict(required=True, help=_DIST_HELP),
+        "--x": dict(required=True, type=float, help="observed value"),
+        "--anchor": _ANCHOR,
+        "--method": dict(default="all", help=_METHOD_HELP),
+        "--no-truncate": dict(action="store_true",
+                              help="report the doubled p-value without capping at 1"),
+    }),
+    ("test", "variance"): ("one-sample variance test", _cmd_test, {
+        "--s2": dict(type=float, help="sample variance"),
+        "--n": dict(type=int, help="sample size"),
+        "--data": dict(help="file with one observation per line (alternative to --s2/--n)"),
+        "--sigma0sq": dict(required=True, type=float, help="null variance"),
+        **_TEST_ARGUMENTS,
+    }),
+    ("test", "f"): ("two-sample variance-ratio test", _cmd_test, {
+        "--s1sq": dict(required=True, type=float, help="first sample variance"),
+        "--n1": dict(required=True, type=int, help="first sample size"),
+        "--s2sq": dict(required=True, type=float, help="second sample variance"),
+        "--n2": dict(required=True, type=int, help="second sample size"),
+        **_TEST_ARGUMENTS,
+    }),
+    ("test", "binomial"): ("exact binomial test", _cmd_test, {
+        "--x": dict(required=True, type=int, help="number of successes"),
+        "--n": dict(required=True, type=int, help="number of trials"),
+        "--p0": dict(required=True, type=float, help="null success probability"),
+        **_TEST_ARGUMENTS,
+    }),
+    ("test", "fisher"): ("Fisher's exact test for a 2x2 table", _cmd_test, {
+        "--table": dict(required=True, help="cell counts a,b,c,d (row-major: n11,n12,n21,n22)"),
+        **_TEST_ARGUMENTS,
+    }),
+    ("analyze", "umpu"): ("unbiased-test weights and critical region", _cmd_analyze, {
+        "--dist": dict(required=True, help=_DIST_HELP),
+        "--alpha": dict(required=True, type=float, help="test level"),
+    }),
+    ("analyze", "bias"): ("minimum power minus level over alternatives", _cmd_analyze, {
+        "--dist": dict(required=True, help=_DIST_HELP),
+        "--method": dict(required=True, help="doubled, conditional, umpu, or min_likelihood"),
+        "--alpha": dict(required=True, type=float, help="test level"),
+        "--anchor": _ANCHOR,
+    }),
+    ("analyze", "table1"): ("binomial tail-weight table", _cmd_analyze, {
+        "--n": dict(help="comma-separated sample sizes"),
+        "--p": dict(help="comma-separated success probabilities"),
+        "--format": _FORMAT,
+    }),
+    ("analyze", "table2"): ("hypergeometric p-value table", _cmd_analyze, {
+        "--margins": dict(required=True, help="row1,col1,total of the margin family"),
+        "--format": _FORMAT,
+    }),
+    ("analyze", "figure"): (
+        "figure-data series (CSV). fig1: rho, power of the four 5%%-level chi-square(5) "
+        "tests. fig2: panel, n, bias of doubled/conditional tests (one_sample n=3..50; "
+        "two_sample n1=6, n2=4..50). fig3: panel, x, three p-value curves for chisq5 "
+        "(x in [0,20]) and truncnorm05 (x in [-0.5,4]); the doubled series is untruncated. "
+        "fig4: panel, x, four p-value curves over the support of binom10 and binom11 (p=0.2).",
+        _cmd_analyze, {
+            "--which": dict(required=True, choices=("fig1", "fig2", "fig3", "fig4"),
+                            help="which figure's data to emit"),
+            "--resolution": dict(default=512, type=int, help="grid resolution for continuous "
+                                                             "axes, 4 to 100000 (default 512)"),
+        }),
+}
+
+
+@functools.cache
+def _leaf(words: tuple[str, ...]) -> argparse.ArgumentParser:
+    # built once and reused: parse_known_args returns a fresh Namespace each time,
+    # and argparse looks up sys.stdout/sys.stderr and the terminal width only when it prints
+    parser = _ArgumentParser(prog="twoside " + " ".join(words))
+    parser.add_argument("--out", help="write output to a file instead of stdout")
+    for flag, keywords in _COMMANDS[words][2].items():
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(command=words)
+    return parser
+
+
+@functools.cache
+def _tree() -> argparse.ArgumentParser:
+    parser = _ArgumentParser(prog="twoside", description="Two-sided p-values, tests, and "
+                             "power/bias analysis for asymmetric null distributions.")
+    # the subcommands of each group, by the group's words; () is the top level
+    subcommands = {(): parser.add_subparsers(required=True, metavar="command")}
+    groups = {"test": ("statistical tests", "kind"),  # help, metavar of the leaves
+              "analyze": ("power, bias, and table/figure data", "what")}
+    for words, (help_text, _, _) in _COMMANDS.items():
+        group = words[:-1]
+        if group not in subcommands:
+            group_help, metavar = groups[words[0]]
+            subcommands[group] = subcommands[()].add_parser(
+                words[0], help=group_help).add_subparsers(required=True, metavar=metavar)
+        subcommands[group].add_parser(words[-1], help=help_text, parents=[_leaf(words)],
+                                      add_help=False)
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``argv``'s namespace as the whole tree parses it. A leaf's argv is parsed by that
+    leaf alone, in one pass; anything else, and a leaf's argv with words left over
+    (which the top parser reports), by the whole tree."""
+    for words in (tuple(argv[:1]), tuple(argv[:2])):
+        if words in _COMMANDS:
+            args, extras = _leaf(words).parse_known_args(argv[len(words):])
+            if not extras:
+                return args
+    return _tree().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {"pvalue": _cmd_pvalue, "test": _cmd_test, "analyze": _cmd_analyze}
     try:
-        command, inputs, results = handler[args.command](args)
-        text = results if isinstance(results, str) else _render_json(command, inputs, results)
+        inputs, results = _COMMANDS[args.command][1](args)
+        text = (results if isinstance(results, str)
+                else _render_json(".".join(args.command), inputs, results))
         _emit(text, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -798,6 +798,23 @@ def test_figure_resolution_above_the_bound_exits_three(capsys):
     assert err == "error: resolution must be at most 100000, got 100000000\n"
 
 
+@pytest.mark.parametrize("margins, tables", [("100001,100001,300000", 100002),
+                                             ("100000000,100000000,300000000", 100000001)])
+def test_table2_above_the_row_bound_exits_three(capsys, margins, tables):
+    code, out, err = run(capsys, "analyze", "table2", "--margins", margins, "--format", "csv")
+    assert (code, out) == (3, "")
+    assert err == f"error: the margin family has {tables} tables; at most 100001 are tabulated\n"
+
+
+@pytest.mark.parametrize("flag, other, expected", [("--n", ("--p", "0.1"), "an integer"),
+                                                   ("--p", ("--n", "10"), "a number")])
+def test_table1_empty_list_exits_two(capsys, flag, other, expected):
+    # an empty list is malformed; it does not stand for the default grid
+    code, out, err = run(capsys, "analyze", "table1", flag, "", *other)
+    assert (code, out) == (2, "")
+    assert err == f"error: table1 {flag[2:]}: expected {expected}, got ''\n"
+
+
 def test_figure_help_names_the_resolution_bound(capsys):
     code, out, _ = run(capsys, "analyze", "figure", "--help")
     assert code == 0
@@ -966,7 +983,8 @@ def _main_into_fresh_streams(*argv: str) -> tuple[int, str, str]:
 
 
 def test_reused_parser_writes_to_the_streams_of_each_call():
-    cli._build_parser()  # the parser exists before the calls under test
+    cli._leaf(("pvalue",))  # the parsers exist before the calls under test
+    cli._tree()
     code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5")
     assert code == 2 and out == "" and "--x" in err
     code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5", "--x", "0.5")
@@ -978,12 +996,12 @@ def test_reused_parser_writes_to_the_streams_of_each_call():
 def test_reused_parser_leaks_no_attributes_between_parses(tmp_path):
     data = tmp_path / "sample.txt"
     data.write_text("1.21\n0.37\n2.05\n", encoding="utf-8")
-    parser = cli._build_parser()
-    first = parser.parse_args(["test", "variance", "--data", str(data), "--sigma0sq", "1"])
-    second = parser.parse_args(["test", "variance", "--s2", "1", "--n", "5", "--sigma0sq", "1"])
-    assert first is not second
-    assert first.data == str(data) and first.s2 is None and first.n is None
-    assert second.data is None and (second.s2, second.n) == (1.0, 5)
+    for parse in (cli._parse, cli._tree().parse_args):
+        first = parse(["test", "variance", "--data", str(data), "--sigma0sq", "1"])
+        second = parse(["test", "variance", "--s2", "1", "--n", "5", "--sigma0sq", "1"])
+        assert first is not second
+        assert first.data == str(data) and first.s2 is None and first.n is None
+        assert second.data is None and (second.s2, second.n) == (1.0, 5)
     # through main, a leaked --data would make the second call a usage error
     assert _main_into_fresh_streams("test", "variance", "--data", str(data),
                                     "--sigma0sq", "1")[0] == 0
@@ -991,16 +1009,31 @@ def test_reused_parser_leaks_no_attributes_between_parses(tmp_path):
                                     "--sigma0sq", "1")[0] == 0
 
 
-def test_parser_is_built_once_across_main_calls():
-    cli._build_parser.cache_clear()
-    for argv in (["pvalue", "--dist", "chisq:5", "--x", "0.5"],
-                 ["pvalue", "--dist", "chisq:5"],
-                 ["test", "binomial", "--x", "3", "--n", "10", "--p0", "0.2"],
-                 ["--help"],
-                 ["pvalue", "--dist", "chisq:5", "--x", "0.5"]):
+def test_parser_is_built_once_across_main_calls(monkeypatch):
+    cli._leaf.cache_clear()
+    cli._tree.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argvs = (["pvalue", "--dist", "chisq:5", "--x", "0.5"],
+             ["pvalue", "--dist", "chisq:5"],
+             ["test", "binomial", "--x", "3", "--n", "10", "--p0", "0.2"],
+             ["--help"],
+             ["pvalue", "--dist", "chisq:5", "--x", "0.5", "extra"])
+    for argv in argvs:
         _main_into_fresh_streams(*argv)
-    assert cli._build_parser.cache_info().misses == 1
-    assert cli._build_parser.cache_info().hits == 4
+    first_round = len(built)
+    for argv in argvs:
+        _main_into_fresh_streams(*argv)
+    assert len(built) == first_round
+    # the tree reuses the leaves that the routed calls built
+    assert cli._leaf.cache_info().misses == len(LEAVES)
+    assert cli._tree.cache_info().misses == 1
 
 
 # the leaf parsers, by the command words that reach them
@@ -1070,16 +1103,15 @@ def _parsed(parse, argv: list[str]) -> tuple:
 
 
 def _assert_parses_like_the_whole_parser(argv: list[str]) -> tuple:
-    parser = cli._build_parser()
-    routed = _parsed(lambda a: cli._parse_args(parser, a), argv)
-    assert routed == _parsed(parser.parse_args, argv), argv
+    routed = _parsed(cli._parse, argv)
+    assert routed == _parsed(cli._tree().parse_args, argv), argv
     return routed
 
 
 def test_router_parses_the_golden_corpus_like_the_whole_parser():
     for argv in GOLDEN_ARGVS:
         (code, namespace), _, _ = _assert_parses_like_the_whole_parser(argv)
-        assert code == 0 and namespace["command"] == argv[0]
+        assert code == 0 and list(namespace["command"]) == argv[:len(namespace["command"])]
 
 
 @pytest.mark.parametrize("argv", MALFORMED_ARGVS, ids=lambda argv: " ".join(argv)[:40] or "empty")
@@ -1112,11 +1144,11 @@ def _leaf_paths(parser, words=()) -> set[tuple[str, ...]]:
 
 
 def test_router_covers_every_leaf_parser():
-    parser = cli._build_parser()
-    assert set(parser.leaves) == LEAVES == _leaf_paths(parser)
-    for words, (leaf, dests) in parser.leaves.items():
+    assert set(cli._COMMANDS) == LEAVES == _leaf_paths(cli._tree())
+    for words in cli._COMMANDS:
+        leaf = cli._leaf(words)
         assert leaf.prog == " ".join(("twoside",) + words)
-        assert tuple(dests.values()) == words
+        assert leaf.get_default("command") == words
 
 
 def _run_probe(probe: str) -> str:
@@ -1128,9 +1160,10 @@ def _run_probe(probe: str) -> str:
     return done.stdout
 
 
-def test_import_builds_no_parser():
+def _parsers_built(*argv: str) -> int:
+    # ArgumentParsers constructed by importing twoside.cli and, given an argv, one main() call
     probe = (
-        "import argparse\n"
+        "import argparse, contextlib, io\n"
         "built = []\n"
         "init = argparse.ArgumentParser.__init__\n"
         "def counting(self, *a, **k):\n"
@@ -1138,9 +1171,25 @@ def test_import_builds_no_parser():
         "    init(self, *a, **k)\n"
         "argparse.ArgumentParser.__init__ = counting\n"
         "import twoside.cli\n"
+        f"if {list(argv)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        twoside.cli.main({list(argv)!r})\n"
         "print(len(built))\n"
     )
-    assert _run_probe(probe) == "0\n"
+    return int(_run_probe(probe))
+
+
+def test_import_builds_no_parser():
+    assert _parsers_built() == 0
+
+
+def test_routed_one_shot_builds_one_parser():
+    assert _parsers_built("pvalue", "--dist", "chisq:5", "--x", "3") == 1
+
+
+def test_help_builds_the_whole_tree():
+    # the top parser, the two groups, and each leaf with its copy in the tree
+    assert _parsers_built("--help") == 3 + 2 * len(LEAVES)
 
 
 def _modules_loaded_by_import(names: set[str], *argvs: list[str]) -> str:
@@ -1187,10 +1236,9 @@ def test_variance_test_loads_stattests_alone():
 
 
 def test_figure_choices_are_the_analysis_figures():
-    # the parser lists them without importing analysis
-    figure, _ = cli._build_parser().leaves[("analyze", "figure")]
-    which = next(a for a in figure._actions if a.dest == "which")
-    assert which.choices == cli._FIGURES == analysis.FIGURES
+    # the table lists them without importing analysis
+    which = cli._COMMANDS[("analyze", "figure")][2]["--which"]
+    assert which["choices"] == analysis.FIGURES
 
 
 def test_bias_aliases_map_to_exactly_the_bias_methods():
