@@ -211,16 +211,18 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reads every negative number as a value, not as a flag.
+    """argparse that reads every negative number as a value, not as a flag,
+    and takes no abbreviated flag.
 
     argparse's own test only knows -1 and -1.5, so ``--x -4.4e-05`` would
-    be a usage error; subparsers inherit the class.
+    be a usage error; ``--dis`` is not ``--dist``, so a new flag cannot
+    make an old command line ambiguous. Subparsers inherit the class.
     """
 
     _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = self._NEGATIVE_NUMBER
 
 

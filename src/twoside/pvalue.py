@@ -164,10 +164,7 @@ def _modified_scale(d: Distribution, anchor_value: float) -> float:
     """1 + P(X = A) when the anchor is an attainable support point, else 1."""
     if not d.is_discrete or not float(anchor_value).is_integer():
         return 1.0
-    sup = d.support()
-    if not sup.contains(anchor_value):
-        return 1.0
-    return 1.0 + d.pdf_or_pmf(anchor_value)
+    return 1.0 + d.pdf_or_pmf(anchor_value)  # mass 0 off the support
 
 
 def _anchored_tail(d: Distribution, x: float, anchor_value: float, w: Weights,

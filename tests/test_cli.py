@@ -772,6 +772,22 @@ def test_missing_required_flag_exits_two(capsys):
     assert "--x" in err
 
 
+@pytest.mark.parametrize("argv, flag, abbreviation", [
+    (("pvalue", "--dist", "chisq:5", "--x", "1"), "--dist", "--dis"),
+    (("test", "binomial", "--x", "3", "--n", "10", "--p0", "0.2"), "--p0", "--p"),
+    (("analyze", "bias", "--dist", "chisq:5", "--method", "doubled", "--alpha", "0.05"),
+     "--alpha", "--alph"),
+], ids=["pvalue", "test binomial", "analyze bias"])
+def test_abbreviated_flag_exits_two(capsys, argv, flag, abbreviation):
+    # a flag is read only when spelled out, so a later flag sharing its
+    # prefix cannot make an existing command line ambiguous
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, *(abbreviation if word == flag else word for word in argv))
+    assert code == 2 and out == ""
+    assert f"error: the following arguments are required: {flag}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1246,6 +1262,31 @@ def test_bias_aliases_map_to_exactly_the_bias_methods():
     assert set(aliases.values()) == set(analysis.BIAS_METHODS)
     assert all(aliases[method] == method for method in analysis.BIAS_METHODS)
     assert aliases["minlik"] == pvalue.MIN_LIKELIHOOD
+
+
+ALL_FOUR = ("['twoside._record', 'twoside.analysis', 'twoside.dist', 'twoside.pvalue', "
+            "'twoside.roots', 'twoside.specfun', 'twoside.stattests']")
+
+
+@pytest.mark.parametrize("name, found, loaded", [
+    ("ChiSquare", True, "['twoside._record', 'twoside.dist', 'twoside.specfun']"),
+    ("p_value", True, "['twoside._record', 'twoside.dist', 'twoside.pvalue', 'twoside.roots', "
+                      "'twoside.specfun']"),
+    ("f_test", True, "['twoside._record', 'twoside.dist', 'twoside.pvalue', 'twoside.roots', "
+                     "'twoside.specfun', 'twoside.stattests']"),
+    # a name is looked for in dist, pvalue, stattests and analysis in turn
+    ("bias", True, ALL_FOUR),
+    ("no_such_name", False, ALL_FOUR),
+])
+def test_package_name_loads_the_modules_up_to_its_own(name, found, loaded):
+    probe = (
+        "import sys\n"
+        "import twoside\n"
+        "bare = set(sys.modules)\n"
+        f"print(hasattr(twoside, {name!r}),"
+        " sorted(m for m in set(sys.modules) - bare if m.startswith('twoside.')))\n"
+    )
+    assert _run_probe(probe) == f"{found} {loaded}\n"
 
 
 def test_star_import_binds_every_export_in_a_fresh_interpreter():
