@@ -15,20 +15,24 @@ deterministic for identical inputs. Exit codes: 0 success, 2 usage error,
 failure (an ``ArithmeticError``, e.g. a special function that did not
 converge).
 
-A command line that names a leaf command (``pvalue``, ``test f``, ...) builds
-and parses that leaf alone from the one command table, ``_COMMANDS``, as the
-whole tree would parse it; anything else builds the whole tree from that table.
+A command line that is a leaf command's words (``pvalue``, ``test f``, ...)
+followed by that leaf's flags, each its own token with its value as the next,
+is read straight from the one command table, ``_COMMANDS``, into the namespace
+argparse would give. Anything else (help, a usage error, or a spelling that
+only argparse takes, such as ``--x=3`` or ``--``) goes to the argparse tree
+built from that table, and argparse is imported only then; so the messages and
+exit codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import pvalue
 from ._record import Record
@@ -43,6 +47,9 @@ from .dist import (
     TruncatedNormal,
     Uniform,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main", "UsageError"]
 
@@ -126,8 +133,6 @@ def parse_methods(text: str, is_discrete: bool) -> list[tuple[str, pvalue.Weight
             out.append((_METHOD_ALIASES[token], None))
         else:
             raise UsageError(f"unknown p-value method {token!r}")
-    if not out:
-        raise UsageError("empty method list")
     return out
 
 
@@ -210,23 +215,7 @@ def _emit(text: str, out_path: str | None) -> None:
         raise UsageError(f"cannot write output file: {exc}") from None
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reads every negative number as a value, not as a flag,
-    and takes no abbreviated flag.
-
-    argparse's own test only knows -1 and -1.5, so ``--x -4.4e-05`` would
-    be a usage error; ``--dis`` is not ``--dist``, so a new flag cannot
-    make an old command line ambiguous. Subparsers inherit the class.
-    """
-
-    _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-        self._negative_number_matcher = self._NEGATIVE_NUMBER
-
-
-def _cmd_pvalue(args: argparse.Namespace) -> tuple[dict, object]:
+def _cmd_pvalue(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, object]:
     d = parse_dist(args.dist)
     anchor = parse_anchor(args.anchor)
     methods = parse_methods(args.method, d.is_discrete)
@@ -265,7 +254,7 @@ def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
     return names
 
 
-def _cmd_test(args: argparse.Namespace) -> tuple[dict, object]:
+def _cmd_test(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, object]:
     from . import stattests
 
     kind = args.command[1]
@@ -342,7 +331,7 @@ def _bias_method_aliases() -> dict[str, str]:
             if method in analysis.BIAS_METHODS}
 
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, object]:
+def _cmd_analyze(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, object]:
     from . import analysis
 
     kind = args.command[1]
@@ -392,10 +381,12 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, object]:
 _ANCHOR = dict(default="mean", help="tail anchor: mean, mode, median, or value:V (default mean)")
 _TEST_ARGUMENTS = {"--anchor": _ANCHOR, "--method": dict(help=_METHOD_HELP)}
 _FORMAT = dict(default="json", choices=("json", "csv"), help="output format (default json)")
+_OUT = dict(help="write output to a file instead of stdout")
 
 # leaf command words -> (help, handler, {flag: add_argument keywords}); each leaf takes --out
-# first. A handler returns the echoed inputs and either the JSON results (a dict or a result
-# record) or finished CSV text, for the command named by the words joined with dots (test.f).
+# first (_flags). A handler returns the echoed inputs and either the JSON results (a dict or a
+# result record) or finished CSV text, for the command named by the words joined with dots
+# (test.f).
 _COMMANDS = {
     ("pvalue",): ("two-sided p-values for one observation", _cmd_pvalue, {
         "--dist": dict(required=True, help=_DIST_HELP),
@@ -463,22 +454,70 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _leaf(words: tuple[str, ...]) -> argparse.ArgumentParser:
-    # built once and reused: parse_known_args returns a fresh Namespace each time,
-    # and argparse looks up sys.stdout/sys.stderr and the terminal width only when it prints
-    parser = _ArgumentParser(prog="twoside " + " ".join(words))
-    parser.add_argument("--out", help="write output to a file instead of stdout")
-    for flag, keywords in _COMMANDS[words][2].items():
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(command=words)
-    return parser
+def _flags(words: tuple[str, ...]) -> dict[str, dict]:
+    """A leaf's flags, ``--out`` first, with their ``add_argument`` keywords."""
+    return {"--out": _OUT, **_COMMANDS[words][2]}
+
+
+# a negative number, which is a value and not a flag: argparse's own test only
+# knows -1 and -1.5, so it would read ``--x -4.4e-05`` as a flag with no value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+def _read(words: tuple[str, ...], tokens: list[str]) -> SimpleNamespace | None:
+    """The namespace that the tree gives for a leaf's ``tokens``, or None unless
+    they are that leaf's flags, each its own token, each value the next token, not
+    flag-like, taken by the flag's ``type`` and in its ``choices``, and every
+    required flag given. A repeated flag keeps its last value, as in argparse. No
+    table default is a string with a ``type``, so argparse converts none of them."""
+    flags = _flags(words)
+    values = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        keywords = flags.get(flag)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            value = True
+        else:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    for flag, keywords in flags.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in values:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default",
+                                        False if keywords.get("action") == "store_true" else None)
+    return SimpleNamespace(command=words, **values)
 
 
 @functools.cache
 def _tree() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(prog="twoside", description="Two-sided p-values, tests, and "
-                             "power/bias analysis for asymmetric null distributions.")
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        """argparse that reads every negative number as a value, not as a flag, and
+        takes no abbreviated flag: ``--dis`` is not ``--dist``, so a new flag cannot
+        make an old command line ambiguous. Subparsers inherit the class."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, allow_abbrev=False, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    # built once and reused: parse_args returns a fresh Namespace each time, and
+    # argparse looks up sys.stdout/sys.stderr and the terminal width only when it prints
+    parser = ArgumentParser(prog="twoside", description="Two-sided p-values, tests, and "
+                            "power/bias analysis for asymmetric null distributions.")
     # the subcommands of each group, by the group's words; () is the top level
     subcommands = {(): parser.add_subparsers(required=True, metavar="command")}
     groups = {"test": ("statistical tests", "kind"),  # help, metavar of the leaves
@@ -489,19 +528,21 @@ def _tree() -> argparse.ArgumentParser:
             group_help, metavar = groups[words[0]]
             subcommands[group] = subcommands[()].add_parser(
                 words[0], help=group_help).add_subparsers(required=True, metavar=metavar)
-        subcommands[group].add_parser(words[-1], help=help_text, parents=[_leaf(words)],
-                                      add_help=False)
+        leaf = subcommands[group].add_parser(words[-1], help=help_text)
+        for flag, keywords in _flags(words).items():
+            leaf.add_argument(flag, **keywords)
+        leaf.set_defaults(command=words)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """``argv``'s namespace as the whole tree parses it. A leaf's argv is parsed by that
-    leaf alone, in one pass; anything else, and a leaf's argv with words left over
-    (which the top parser reports), by the whole tree."""
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """``argv``'s namespace as the tree parses it: read from the table when ``_read``
+    takes it, else parsed by the tree, which prints help and usage errors and raises
+    ``SystemExit``."""
     for words in (tuple(argv[:1]), tuple(argv[:2])):
         if words in _COMMANDS:
-            args, extras = _leaf(words).parse_known_args(argv[len(words):])
-            if not extras:
+            args = _read(words, argv[len(words):])
+            if args is not None:
                 return args
     return _tree().parse_args(argv)
 

@@ -26,8 +26,10 @@ the mode, it multiplies outward until the weights underflow to 0 or stop
 shrinking, so the tables cover a window around the mode rather than the
 whole support (for large supports, about 38.6 standard deviations on each
 side, where exp(-z**2 / 2) underflows). Support points outside the
-window have mass 0. The tables of the most recently used distribution are
-cached; every caller reads one law at a time.
+window have mass 0. A law whose window would pass ``_MAX_SIDE`` points on
+either side of the mode is refused with a ``ValueError`` before the walk.
+The tables of the most recently used distribution are cached; every caller
+reads one law at a time.
 
 The build is cheap but exact: it gives the floats of the plain recipe (a
 ratio call per step, ``math.fsum`` of the weights, every running sum
@@ -78,6 +80,10 @@ _LN2 = math.log(2.0)
 
 # relative tolerance for calling two masses tied when scanning for modes
 _MODE_TIE_TOL = 1e-9
+
+# the most table points on either side of the mode; the tables and the walk
+# take about 180 bytes per point at their peak
+_MAX_SIDE = 1_000_000
 
 
 class Support(Record):
@@ -439,6 +445,16 @@ def _discrete_tables(d: "_Discrete") -> _Tables:
     # the ratio falls strictly (the families are log-concave), so the
     # mode is the first point whose ratio is at most 1
     mode = lo + bisect_left(range(lo, hi), True, key=lambda k: next(d._ratios((k,))) <= 1.0)
+    # the ratios fall, so the weight _MAX_SIDE points right of the mode is at
+    # least r(mode + _MAX_SIDE - 1) ** _MAX_SIDE, and _MAX_SIDE points left at
+    # least r(mode - _MAX_SIDE) ** -_MAX_SIDE; above exp(-745) a weight is not
+    # yet 0, so the walk would go on
+    if ((mode + _MAX_SIDE <= hi
+         and _MAX_SIDE * math.log(next(d._ratios((mode + _MAX_SIDE - 1,)))) > -745.0)
+            or (mode - _MAX_SIDE >= lo
+                and _MAX_SIDE * math.log(next(d._ratios((mode - _MAX_SIDE,)))) < 745.0)):
+        raise ValueError(f"{d!r} has mass on more than {_MAX_SIDE} points on one side of "
+                         f"its mode; the tables hold at most {_MAX_SIDE}")
     # weights relative to 1 at the mode; clamping the ratios to 1 keeps the
     # array unimodal under rounding. A walk stops where the weight
     # underflows to 0 or stops shrinking (subnormals round back to

@@ -14,8 +14,10 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -431,6 +433,14 @@ def test_analyze_bias_without_a_mean_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err == "error: mean is undefined for denominator df <= 2, got 2\n"
+
+
+def test_analyze_bias_unknown_method_exits_two(capsys):
+    code, out, err = run(capsys, "analyze", "bias", "--dist", "chisq:5",
+                         "--method", "foo", "--alpha", "0.05")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown bias method 'foo'; expected one of "
+                   "doubled, conditional, umpu, min_likelihood\n")
 
 
 def test_analyze_bias_with_the_median_anchor(capsys):
@@ -891,6 +901,24 @@ def test_law_whose_width_overflows_exits_three(capsys, law, message):
     assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("law", ["binom:1000000000000,0.5",
+                                 "hyper:1000000000000,1000000000000,3000000000000"])
+def test_discrete_law_too_wide_to_tabulate_exits_three_at_once(capsys, law):
+    # its window would hold some 4e7 points (about 7 GB); the check precedes the walk
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pvalue", "--dist", law, "--x", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {cli.parse_dist(law)!r} has mass on more than 1000000 points")
+
+
+def test_wide_discrete_law_under_the_cap_exits_zero(capsys):
+    code, out, err = run(capsys, "pvalue", "--dist", "binom:20000000,0.5", "--x", "10001000",
+                         "--method", "doubled")
+    assert (code, err) == (0, "")
+    assert 0.0 < json.loads(out)["results"]["p_values"]["doubled"] < 1.0
+
+
 def test_triangular_law_of_huge_finite_width(capsys):
     # p a (a + b) and a (a + b) overflow here; the law is tri:1,1 scaled by 1e200
     code, out, err = run(capsys, "pvalue", "--dist", "tri:1e200,1e200", "--x", "1",
@@ -999,8 +1027,7 @@ def _main_into_fresh_streams(*argv: str) -> tuple[int, str, str]:
 
 
 def test_reused_parser_writes_to_the_streams_of_each_call():
-    cli._leaf(("pvalue",))  # the parsers exist before the calls under test
-    cli._tree()
+    cli._tree()  # the parser exists before the calls under test
     code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5")
     assert code == 2 and out == "" and "--x" in err
     code, out, err = _main_into_fresh_streams("pvalue", "--dist", "chisq:5", "--x", "0.5")
@@ -1026,7 +1053,6 @@ def test_reused_parser_leaks_no_attributes_between_parses(tmp_path):
 
 
 def test_parser_is_built_once_across_main_calls(monkeypatch):
-    cli._leaf.cache_clear()
     cli._tree.cache_clear()
     built = []
     init = argparse.ArgumentParser.__init__
@@ -1047,8 +1073,6 @@ def test_parser_is_built_once_across_main_calls(monkeypatch):
     for argv in argvs:
         _main_into_fresh_streams(*argv)
     assert len(built) == first_round
-    # the tree reuses the leaves that the routed calls built
-    assert cli._leaf.cache_info().misses == len(LEAVES)
     assert cli._tree.cache_info().misses == 1
 
 
@@ -1135,6 +1159,116 @@ def test_router_fails_like_the_whole_parser(argv):
     _assert_parses_like_the_whole_parser(argv)
 
 
+def _read_from_the_table(argv: list[str]) -> bool:
+    return any(words in cli._COMMANDS and cli._read(words, argv[len(words):]) is not None
+               for words in (tuple(argv[:1]), tuple(argv[:2])))
+
+
+# a valid command line of each leaf, from which the variants below are made
+LEAF_ARGVS = [
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--method", "doubled"],
+    ["test", "variance", "--s2", "0.2", "--n", "6", "--sigma0sq", "1"],
+    ["test", "f", "--s1sq", "2", "--n1", "7", "--s2sq", "1", "--n2", "12"],
+    ["test", "binomial", "--x", "3", "--n", "10", "--p0", "0.2"],
+    ["test", "fisher", "--table", "1,2,3,4", "--anchor", "mode"],
+    ["analyze", "umpu", "--dist", "chisq:5", "--alpha", "0.05"],
+    ["analyze", "bias", "--dist", "chisq:5", "--method", "doubled", "--alpha", "0.05"],
+    ["analyze", "table1", "--n", "10", "--format", "csv"],
+    ["analyze", "table2", "--margins", "9,5,30"],
+    ["analyze", "figure", "--which", "fig1", "--resolution", "16"],
+]
+
+PVALUE = LEAF_ARGVS[0]
+
+
+def test_table_reads_every_golden_and_leaf_argv():
+    assert [argv for argv in GOLDEN_ARGVS + LEAF_ARGVS if not _read_from_the_table(argv)] == []
+
+READER_ARGVS = [
+    # negative values, which argparse reads as flags unless they match _NEGATIVE_NUMBER
+    *(["pvalue", "--dist", "chisq:5", "--x", x] for x in ("-4.4e-05", "-.5", "-1e5", "-3",
+                                                          "-1.", "-1e", "-inf", "-x", "-")),
+    ["test", "binomial", "--x", "-1e5", "--n", "10", "--p0", "0.2"],
+    ["test", "binomial", "--x", "-3", "--n", "10", "--p0", "-0.2"],
+    ["pvalue", "--dist", "--", "--x", "3"], ["pvalue", "--dist", "chisq:5", "--x", "3", "--"],
+    ["pvalue", "--dist", "-", "--x", "3"],
+    ["pvalue", "--out", "-", "--dist", "chisq:5", "--x", "3"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--method", "-doubled"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--method", "-a b"],
+    # spellings only argparse takes, flags with no value or an empty one
+    ["pvalue", "--dist", "chisq:5", "--x=3"], ["pvalue", "--dist=chisq:5", "--x", "3"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--x", "4"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--no-truncate", "--no-truncate"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--out", "a", "--out", "b"],
+    ["pvalue", "--dist", "chisq:5", "--x"], ["pvalue", "--x", "3", "--dist"],
+    ["pvalue", "--dist", "", "--x", "3"], ["pvalue", "--dist", "chisq:5", "--x", ""],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--out", ""],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--no-truncate=1"],
+    ["pvalue", "--dist", "chisq:5", "--x", "3", "--no-truncate", "yes"],
+    # type and choices failures, and missing required flags
+    ["pvalue", "--dist", "chisq:5", "--x", "abc"], ["pvalue", "--dist", "chisq:5", "--x", " 3 "],
+    ["test", "binomial", "--x", "2.5", "--n", "10", "--p0", "0.2"],
+    ["test", "binomial", "--x", "1_0", "--n", "10", "--p0", "0.2"],
+    ["analyze", "figure", "--which", "fig9"], ["analyze", "figure", "--which", "fig2",
+                                               "--resolution", "1e3"],
+    ["analyze", "table1", "--format", "xml"], ["analyze", "table2", "--format", "csv"],
+    ["analyze", "table2", "--margins", "9,5,30", "--format", ""],
+    ["pvalue", "--x", "3"], ["pvalue"], ["test", "f", "--s1sq", "2", "--n1", "7"],
+    ["analyze", "bias", "--dist", "chisq:5", "--alpha", "0.05"],
+    # --no-truncate, --out and -h in every position
+    *([*PVALUE[:i], "--no-truncate", *PVALUE[i:]] for i in range(len(PVALUE) + 1)),
+    *([*PVALUE[:i], "--out", "o.json", *PVALUE[i:]] for i in range(len(PVALUE) + 1)),
+    *([*PVALUE[:i], "-h", *PVALUE[i:]] for i in range(len(PVALUE) + 1)),
+    ["test", "f", "--s1sq", "2", "--n1", "7", "--help", "--s2sq", "1", "--n2", "12"],
+    # flags of another leaf, and words left over
+    ["test", "f", "--dist", "chisq:5"], ["pvalue", "--dist", "chisq:5", "--x", "3", "f"],
+    ["test", "f", "f", "--s1sq", "2", "--n1", "7", "--s2sq", "1", "--n2", "12"],
+]
+
+
+@pytest.mark.parametrize("argv", READER_ARGVS, ids=lambda argv: " ".join(argv)[:60])
+def test_table_reader_parses_like_the_whole_parser(argv):
+    _assert_parses_like_the_whole_parser(argv)
+
+
+def _variants(count: int, seed: int) -> list[list[str]]:
+    # each a leaf's command line with one token dropped, inserted or replaced, one
+    # flag written --flag=value or repeated, or --out or --no-truncate inserted
+    rng = random.Random(seed)
+    tokens = ["-4.4e-05", "-.5", "-1e5", "-inf", "-x", "--", "-", "", "abc", "3", "2.5",
+              "fig2", "csv", "-h", "--help", "--out", "--no-truncate", "--x", "--n", "--dist"]
+    variants = []
+    for _ in range(count):
+        argv = list(rng.choice(LEAF_ARGVS))
+        at = rng.randrange(len(argv) + 1)
+        flags = [i for i, token in enumerate(argv) if token.startswith("--")]
+        kind = rng.randrange(7)
+        if kind == 0:
+            del argv[rng.randrange(len(argv))]
+        elif kind == 1:
+            argv.insert(at, rng.choice(tokens))
+        elif kind == 2:
+            argv[rng.randrange(len(argv))] = rng.choice(tokens)
+        elif kind == 3:
+            i = rng.choice(flags)
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif kind == 4:
+            i = rng.choice(flags)
+            argv[at:at] = argv[i:i + 2]
+        else:
+            argv[at:at] = rng.choice([["--out", "o.json"], ["--no-truncate"]])
+        variants.append(argv)
+    return variants
+
+
+def test_table_reader_parses_seeded_variants_like_the_whole_parser():
+    variants = _variants(400, seed=23)
+    read = [argv for argv in variants if _read_from_the_table(argv)]
+    assert 0 < len(read) < len(variants)  # both paths are taken
+    for argv in variants:
+        _assert_parses_like_the_whole_parser(argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["pvalue", "--dist", "chisq:5", "--x", "0.5"],
     ["pvalue", "--dist", "chisq:5", "--x", "1", "extra"],
@@ -1150,19 +1284,19 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch, argv):
     assert (code, out.getvalue(), err.getvalue()) == expected
 
 
-def _leaf_paths(parser, words=()) -> set[tuple[str, ...]]:
-    # the command words of every parser below ``parser`` that has no subcommands
+def _leaf_parsers(parser, words=()) -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    # every parser below ``parser`` that has no subcommands, by its command words
     subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subparsers:
-        return {words}
-    return set().union(*(_leaf_paths(sub, words + (name,))
-                         for name, sub in subparsers[0].choices.items()))
+        return {words: parser}
+    return {path: leaf for name, sub in subparsers[0].choices.items()
+            for path, leaf in _leaf_parsers(sub, words + (name,)).items()}
 
 
 def test_router_covers_every_leaf_parser():
-    assert set(cli._COMMANDS) == LEAVES == _leaf_paths(cli._tree())
-    for words in cli._COMMANDS:
-        leaf = cli._leaf(words)
+    leaves = _leaf_parsers(cli._tree())
+    assert set(cli._COMMANDS) == LEAVES == set(leaves)
+    for words, leaf in leaves.items():
         assert leaf.prog == " ".join(("twoside",) + words)
         assert leaf.get_default("command") == words
 
@@ -1199,25 +1333,26 @@ def test_import_builds_no_parser():
     assert _parsers_built() == 0
 
 
-def test_routed_one_shot_builds_one_parser():
-    assert _parsers_built("pvalue", "--dist", "chisq:5", "--x", "3") == 1
+def test_routed_one_shot_builds_no_parser():
+    assert _parsers_built("pvalue", "--dist", "chisq:5", "--x", "3") == 0
 
 
 def test_help_builds_the_whole_tree():
-    # the top parser, the two groups, and each leaf with its copy in the tree
-    assert _parsers_built("--help") == 3 + 2 * len(LEAVES)
+    # the top parser, the two groups, and each leaf
+    assert _parsers_built("--help") == 3 + len(LEAVES)
 
 
-def _modules_loaded_by_import(names: set[str], *argvs: list[str]) -> str:
+def _modules_loaded_by_import(names: set[str], *argvs: list[str], status: int = 0) -> str:
     # modules that site already loaded in a bare interpreter do not count;
-    # each argv runs through main() after the import and must exit 0
+    # each argv runs through main() after the import and must exit with ``status``
     return _run_probe(
         "import contextlib, io, sys\n"
         "bare = set(sys.modules)\n"
         "import twoside.cli\n"
         f"for argv in {list(argvs)!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert twoside.cli.main(argv) == 0, argv\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        f"        assert twoside.cli.main(argv) == {status}, argv\n"
         f"print(sorted({names!r} & (set(sys.modules) - bare)))\n"
     )
 
@@ -1230,8 +1365,9 @@ def test_import_loads_no_csv():
     assert _modules_loaded_by_import({"csv"}) == "[]\n"
 
 
-# the layers a command loads only when it needs them
-DEFERRED = {"twoside.analysis", "twoside.stattests", "statistics"}
+# the layers a command loads only when it needs them; argparse only for help and
+# for a command line that the table reader does not take
+DEFERRED = {"twoside.analysis", "twoside.stattests", "statistics", "argparse"}
 
 
 def test_import_loads_no_deferred_layer():
@@ -1249,6 +1385,21 @@ def test_variance_test_loads_stattests_alone():
     loaded = _modules_loaded_by_import(
         DEFERRED, ["test", "variance", "--s2", "0.2", "--n", "6", "--sigma0sq", "1"])
     assert loaded == "['twoside.stattests']\n"
+
+
+def test_f_test_loads_stattests_alone():
+    loaded = _modules_loaded_by_import(
+        DEFERRED, ["test", "f", "--s1sq", "2", "--n1", "7", "--s2sq", "1", "--n2", "12"])
+    assert loaded == "['twoside.stattests']\n"
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["--help"], 0),
+    (["pvalue", "--dist", "chisq:5"], 2),
+    (["pvalue", "--dist", "chisq:5", "--x=3"], 0),
+], ids=["help", "usage error", "--x=3"])
+def test_help_and_argvs_the_table_reader_declines_load_argparse(argv, status):
+    assert _modules_loaded_by_import({"argparse"}, argv, status=status) == "['argparse']\n"
 
 
 def test_figure_choices_are_the_analysis_figures():

@@ -20,6 +20,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twoside import dist
 from twoside.dist import (
     Binomial,
     ChiSquare,
@@ -559,6 +560,27 @@ def test_window_is_bounded_for_large_supports():
     # the full support has 2 * 10**7 + 1 points; weights stop where they
     # underflow or stop shrinking among the subnormals
     assert len(Binomial(20_000_000, 0.5)._tables().pmf) < 200_000
+
+
+@pytest.mark.parametrize("d, wide", [
+    (Binomial(10**6, 1e-5), "right"),      # Poisson(10)-like: 293 points right, 10 left
+    (Binomial(10**6, 1 - 1e-5), "left"),   # its mirror: the support ends 10 right
+    (Binomial(2000, 0.5), "both"),
+    (Binomial(10**6, 1e-12), None),        # 45 points, in a support of 10**6 + 1
+], ids=str)
+def test_window_past_the_side_cap_is_refused(monkeypatch, d, wide):
+    t = _discrete_tables.__wrapped__(d)
+    sides = {"left": t.mode, "right": len(t.pmf) - 1 - t.mode}
+    assert [side for side, size in sides.items() if size > 100] == (
+        ["left", "right"] if wide == "both" else [wide] if wide else [])
+    monkeypatch.setattr(dist, "_MAX_SIDE", 100)
+    if wide is None:
+        assert tuple(_discrete_tables.__wrapped__(d)) == tuple(t)
+        return
+    with pytest.raises(ValueError) as caught:
+        _discrete_tables.__wrapped__(d)
+    assert str(caught.value) == (f"{d!r} has mass on more than 100 points on one side "
+                                 "of its mode; the tables hold at most 100")
 
 
 def test_binomial_tail_against_high_precision_reference():
