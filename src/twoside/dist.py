@@ -23,17 +23,17 @@ Discrete conventions differ across libraries, so they are pinned here:
 All instances are immutable. A discrete family builds its mass and tail
 tables from the mass ratio pmf(k + 1) / pmf(k): starting from weight 1 at
 the mode, it multiplies outward until the weights underflow to 0 or stop
-shrinking, so the tables cover a window around the mode rather than the
-whole support (for large supports, about 38.6 standard deviations on each
-side, where exp(-z**2 / 2) underflows). Support points outside the
-window have mass 0. A law whose window would pass ``_MAX_SIDE`` points on
-either side of the mode is refused with a ``ValueError`` before the walk.
-The tables of the most recently used distribution are cached; every caller
+shrinking, so the full window covers the points around the mode rather
+than the whole support (for large supports, about 38.6 standard deviations
+on each side, where exp(-z**2 / 2) underflows). Support points outside it
+have mass 0. A law whose window would pass ``_MAX_SIDE`` points on either
+side of the mode is refused with a ``ValueError`` before the walk. The
+tables of the most recently used distribution are cached; every caller
 reads one law at a time.
 
-The build is cheap but exact: it gives the floats of the plain recipe (a
-ratio call per step, ``math.fsum`` of the weights, every running sum
-clamped with ``min(v, 1.0)``):
+The full window gives the floats of the plain recipe (a ratio call per
+step, ``math.fsum`` of the weights, every running sum clamped with
+``min(v, 1.0)``), cheaply:
 
 - ``_ratios(ks)`` yields the ratios lazily, so a walk computes only those
   it reads, each from the same expression. ``w * r if r < 1.0 else w``
@@ -41,13 +41,61 @@ clamped with ``min(v, 1.0)``):
 - ``_exact_sum`` returns ``math.fsum`` of nonnegative floats. The values
   below ``cut``, a power of two near 2**-100 times the largest, sum to
   less than ``bound = count * cut``, which is exact. fsum rounds
-  correctly and rounding is monotone, so when the other values (the core)
-  and the core plus ``bound`` round to the same float, the full sum, which
-  lies between them, rounds to it too. Otherwise it falls back to fsum over
-  all values. The core spans about 100 binades, so fsum keeps few partials
-  for it, where the full window reaches the subnormals.
+  correctly and rounding is monotone, so when the other values and those
+  plus ``bound`` round to the same float, the full sum, which lies between
+  them, rounds to it too. Otherwise it falls back to fsum over all values.
 - Running sums of nonnegative masses never fall (rounding is monotone),
   so the sums above 1 form a suffix, set to 1.0 after one bisection.
+
+A p-value of the paper reads only a few points of a law, near x and its
+partner, so the cache first holds a core window: the same walk, which also
+stops at the first weight below ``_FLOOR`` = 2**-120. The core serves a
+query only where every float it reads is provably the full window's;
+otherwise the full window is built and replaces the core in the cache.
+Each float the core serves is the full window's because:
+
+- The omitted weights on a side are bounded. Write u = 2**-53. The ratios
+  computed by ``_ratios`` fall with k, as float functions too, because
+  each is a chain of monotone roundings of integer products and fixed
+  factors. So past the first dropped weight w every step multiplies by at
+  most rho = r * (1 + u), where r is the next ratio (its inverse on the
+  left), whenever the product is a normal float. The normal weights past
+  w sum to at most w / (1 - rho). The subnormal ones strictly fall (a walk
+  stops where a weight repeats), so they are distinct multiples of 2**-1074
+  below 2**-1022, whose sum is below 2**-971. ``_weight_bound`` returns
+  w / (1 - rho) + 2**-960, with ``_UP`` = 1 + 2**-50 factors to undo the
+  few roundings on the way. Where rho is not below 1 there is no bound,
+  and where the walk ends the support after w the bound is w itself.
+- The total is decided. ``_exact_sum(values, omitted)`` widens the cut
+  argument by ``omitted``: fsum of the full window is the rounded sum of
+  the core weights plus something in [0, omitted], so when the core and
+  the core plus ``bound + omitted`` round to the same float, that float is
+  it. Otherwise it tries fsum of the core with and without ``omitted``,
+  and where those differ it returns None, and the full window is built.
+  So the core's pmf is the full window's, value for value.
+- The mass the core leaves out on a side, and its running sum, are at
+  most the weight bound over the total times ``_SUMS_UP`` = 1 + 2**-10. A
+  left-out mass is a weight over the total (at least 1), rounded once: up
+  to a factor 1 + u, or by 2**-1075 in the subnormals, which the 2**-960
+  of the weight bound absorbs for c at most ``_MAX_LEFT_OUT`` = 2**40
+  points. Their running sum gains at most a factor (1 + u)**c < 1 + 2**-12;
+  past 2**40 points there is no bound.
+- The trusted tail range. The full window's running sum at the core's
+  edge lies in [0, bound], so, as rounded addition is monotone, its sum at
+  each core point lies between the core's own run from 0 and a second run
+  from the bound. Where the two runs agree, the core's float is the full
+  window's; once equal they stay equal, so agreement is a suffix of the
+  cdf (``cdf_from`` on) and a prefix of the sf (up to ``sf_to``), found
+  by one bisection each.
+- Past the core. Under a decided total the core holds all but about 2**-50
+  of the mass, so its last cdf and first sf exceed 1/2. A left-out mass is
+  below 2**-120, less than half an ulp of such a sum, so the full window's
+  sums keep that value across the points the core left out, and the core
+  serves it beyond its edge if it is trusted. Any other read past a cut
+  side, or of an untrusted tail, goes to the full window.
+- The noncentral mean sums k * pmf(k); each left-out term is at most
+  ``hi`` times its mass, so ``hi`` times the two bounds widen its total.
+  The modes are within 1e-9 of the top mass, which the core always holds.
 """
 
 from __future__ import annotations
@@ -55,10 +103,10 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from . import specfun
 from ._record import Record
@@ -84,6 +132,18 @@ _MODE_TIE_TOL = 1e-9
 # the most table points on either side of the mode; the tables and the walk
 # take about 180 bytes per point at their peak
 _MAX_SIDE = 1_000_000
+
+# the core window also stops at the first weight below this, relative to 1
+# at the mode; it holds every float a p-value of the paper reads
+_FLOOR = 2.0**-120
+
+# the most support points past a side of the core for which its bound holds
+_MAX_LEFT_OUT = 2**40
+
+# a factor that lifts a float above the same value with a few roundings
+# undone, and one that also covers 2**40 roundings of running sums
+_UP = 1.0 + 2.0**-50
+_SUMS_UP = 1.0 + 2.0**-10
 
 
 class Support(Record):
@@ -408,39 +468,117 @@ class TruncatedNormal(Distribution, Record):
 class _Tables(NamedTuple):
     """Mass and tails over the window [first, first + len(pmf) - 1].
 
-    Every support point outside the window has mass 0: to its left cdf is
-    0 and sf is sf[0], to its right cdf is cdf[-1] and sf is 0.
+    The full window has every point whose weight the walk does not drop:
+    each support point outside it has mass 0, so to its left cdf is 0 and
+    sf is sf[0], to its right cdf is cdf[-1] and sf is 0. A core window
+    leaves out the points past each side whose bound is not 0, and holds the
+    full window's floats only for the pmf, cdf from ``cdf_from`` on and sf
+    up to ``sf_to``. Each query below returns None where the core cannot
+    serve it exactly (see the module docstring); the full window serves
+    every query.
     """
 
     first: int
-    mode: int         # index of the largest mass
-    pmf: list[float]  # rises to pmf[mode], then falls
-    cdf: list[float]  # cdf[i] = P(X <= first + i)
-    sf: list[float]   # sf[i] = P(X >= first + i), inclusive
+    mode: int          # index of the largest mass
+    pmf: list[float]   # rises to pmf[mode], then falls
+    cdf: list[float]   # cdf[i] = P(X <= first + i)
+    sf: list[float]    # sf[i] = P(X >= first + i), inclusive
+    cdf_from: int      # the first index whose cdf is the full window's
+    sf_to: int         # the last index whose sf is the full window's
+    left_out: float    # bound on the mass left out on the left, 0 if none
+    right_out: float   # bound on the mass left out on the right, 0 if none
+
+    def mass(self, k: int) -> float | None:
+        i = k - self.first
+        if 0 <= i < len(self.pmf):
+            return self.pmf[i]
+        return None if (self.left_out if i < 0 else self.right_out) else 0.0
+
+    def lower(self, k: int) -> float | None:
+        """P(X <= k)."""
+        i = min(k - self.first, len(self.cdf) - 1)
+        if i >= self.cdf_from:
+            return self.cdf[i]
+        return None if i >= 0 or self.left_out else 0.0
+
+    def upper(self, k: int) -> float | None:
+        """P(X >= k)."""
+        i = max(k - self.first, 0)
+        if i <= self.sf_to:
+            return self.sf[i]
+        return None if i < len(self.sf) or self.right_out else 0.0
+
+    def quantile(self, p: float) -> int | None:
+        if p > 0.5:
+            # the first index j >= 1 with sf[j] <= 1 - p, or len(sf) past the
+            # window, where sf is 0; the answer is the point before it
+            j = bisect_left(self.sf, p - 1.0, 1, key=operator.neg)
+            exact = j <= self.sf_to or (j == len(self.sf) and not self.right_out)
+            return self.first - 1 + j if exact else None
+        j = bisect_left(self.cdf, p)
+        return self.first + j if j > self.cdf_from or not self.left_out else None
+
+    def mass_at_most(self, cut: float) -> float | None:
+        # the masses rise to the mode and fall after it, so the points whose
+        # mass is at most cut are a prefix [0, a) and a suffix [b, end)
+        a = bisect_right(self.pmf, cut, 0, self.mode + 1)
+        b = bisect_left(self.pmf, -cut, max(a, self.mode), key=operator.neg)
+        low, high = self.lower(self.first + a - 1), self.upper(self.first + b)
+        return None if low is None or high is None else low + high
+
+    def mean(self, hi: int) -> float | None:
+        # each point left out is at most hi, and its mass is in the bounds
+        return _exact_sum([(self.first + i) * v for i, v in enumerate(self.pmf)],
+                          hi * (self.left_out + self.right_out) * _UP)
 
 
-def _exact_sum(values: list[float]) -> float:
-    """``math.fsum(values)`` for nonnegative finite floats, mostly cheaper
-    (see the module docstring for why it is exact)."""
+def _exact_sum(values: list[float], omitted: float = 0.0) -> float | None:
+    """``math.fsum(values + [s])`` for every s in [0, omitted] where that is
+    one float, else None, for nonnegative finite values; mostly cheaper
+    than fsum (see the module docstring for why it is exact)."""
     cut = math.ldexp(1.0, math.frexp(max(values))[1] - 100)
-    core = [v for v in values if v >= cut]
-    total = math.fsum(core)
-    if len(core) == len(values):
+    big = [v for v in values if v >= cut]
+    total = math.fsum(big)
+    if len(big) == len(values) and not omitted:
         return total
-    core.append((len(values) - len(core)) * cut)
-    return total if math.fsum(core) == total else math.fsum(values)
+    big += [(len(values) - len(big)) * cut, omitted]
+    if math.fsum(big) == total:
+        return total
+    total = math.fsum(values)
+    return total if not omitted or math.fsum([*values, omitted]) == total else None
 
 
-def _clamped_sums(masses: Iterable[float]) -> list[float]:
-    """Running sums of nonnegative masses, those past 1 (a suffix) set to 1.0."""
+def _tail_sums(masses: list[float], omitted: float) -> tuple[list[float], int]:
+    """Running sums of nonnegative masses, those past 1 (a suffix) set to
+    1.0, and the first index from which every run that starts from a value
+    in [0, omitted] gives the same sums."""
     sums = list(accumulate(masses))
+    first = 0
+    if omitted:
+        upper = list(accumulate(masses, initial=omitted))
+        first = bisect_left(range(len(sums)), True, key=lambda i: sums[i] == upper[i + 1])
     cut = bisect_right(sums, 1.0)
     sums[cut:] = [1.0] * (len(sums) - cut)
-    return sums
+    return sums, first
 
 
-@lru_cache(maxsize=1)
-def _discrete_tables(d: "_Discrete") -> _Tables:
+def _weight_bound(w: float, r: float | None, count: int, left: bool) -> float:
+    """A bound on the weights that a walk leaves out from ``w``, the first
+    one below the floor, on: ``r`` is the next ratio the walk would read
+    (None past the support) and ``count`` the points from w's to the end
+    of the support; inf where there is no bound."""
+    if r is None:
+        return w
+    rho = (1.0 / r if left else r) * _UP
+    if rho >= 1.0 or count > _MAX_LEFT_OUT:
+        return math.inf
+    return w / (1.0 - rho) * _UP + 2.0**-960
+
+
+def _build_tables(d: "_Discrete", floor: float = 0.0) -> _Tables | None:
+    """The full window for floor 0. Otherwise the core, which also stops at
+    the first weight below ``floor``, or None where its total is not
+    decided."""
     lo, hi = d._bounds()
     # the ratio falls strictly (the families are log-concave), so the
     # mode is the first point whose ratio is at most 1
@@ -460,29 +598,60 @@ def _discrete_tables(d: "_Discrete") -> _Tables:
     # underflows to 0 or stops shrinking (subnormals round back to
     # themselves); only the first step may tie with the mode.
     right: list[float] = []
+    right_out = 0.0
     w = 1.0
-    for r in d._ratios(range(mode, hi)):
+    ratios = d._ratios(range(mode, hi))
+    for r in ratios:
         nxt = w * r if r < 1.0 else w
         if nxt == 0.0 or (nxt == w and right):
+            break
+        if nxt < floor:
+            right_out = _weight_bound(nxt, next(ratios, None), hi - mode - len(right), False)
             break
         right.append(nxt)
         w = nxt
     left: list[float] = []
+    left_out = 0.0
     w = 1.0
-    for r in d._ratios(range(mode - 1, lo - 1, -1)):
+    ratios = d._ratios(range(mode - 1, lo - 1, -1))
+    for r in ratios:
         nxt = w / r if r > 1.0 else w
         if nxt == 0.0 or (nxt == w and left):
+            break
+        if nxt < floor:
+            left_out = _weight_bound(nxt, next(ratios, None), mode - len(left) - lo, True)
             break
         left.append(nxt)
         w = nxt
     left.reverse()
     raw = left + [1.0] + right
-    total = _exact_sum(raw)
+    total = _exact_sum(raw, (left_out + right_out) * _UP)
+    if total is None:
+        return None
     pmf = [v / total for v in raw]
+    # the bounds on the masses and on their running sums that are left out
+    left_out = left_out / total * _SUMS_UP
+    right_out = right_out / total * _SUMS_UP
     # running sums may pass 1 by rounding at their far end
-    sf = _clamped_sums(reversed(pmf))
+    cdf, cdf_from = _tail_sums(pmf, left_out)
+    sf, sf_from = _tail_sums(pmf[::-1], right_out)
     sf.reverse()
-    return _Tables(mode - len(left), len(left), pmf, _clamped_sums(pmf), sf)
+    return _Tables(mode - len(left), len(left), pmf, cdf, sf, cdf_from, len(sf) - 1 - sf_from,
+                   left_out, right_out)
+
+
+class _Slot:
+    """A law's cached tables: its core window until a query reads past it."""
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: _Tables) -> None:
+        self.tables = tables
+
+
+@lru_cache(maxsize=1)
+def _discrete_tables(d: "_Discrete") -> _Slot:
+    return _Slot(_build_tables(d, _FLOOR) or _build_tables(d))
 
 
 class _Discrete(Distribution):
@@ -504,7 +673,18 @@ class _Discrete(Distribution):
         raise NotImplementedError
 
     def _tables(self) -> _Tables:
-        return _discrete_tables(self)
+        return _discrete_tables(self).tables
+
+    def _read(self, query: Callable[[_Tables, Any], Any], arg: Any) -> Any:
+        """``query(tables, arg)`` on the cached tables; where the core cannot
+        answer it exactly, on the full window, which from then on replaces
+        the core in the cache."""
+        slot = _discrete_tables(self)
+        value = query(slot.tables, arg)
+        if value is None:
+            slot.tables = _build_tables(self)
+            value = query(slot.tables, arg)
+        return value
 
     def support(self) -> Support:
         lo, hi = self._bounds()
@@ -513,9 +693,7 @@ class _Discrete(Distribution):
     def pdf_or_pmf(self, x: float) -> float:
         if not float(x).is_integer():
             raise ValueError(f"{type(self).__name__} is discrete; mass requested at non-integer {x!r}")
-        t = self._tables()
-        i = int(x) - t.first
-        return t.pmf[i] if 0 <= i < len(t.pmf) else 0.0
+        return self._read(_Tables.mass, int(x))
 
     def cdf(self, x: float) -> float:
         lo, hi = self._bounds()
@@ -523,9 +701,7 @@ class _Discrete(Distribution):
             return 0.0
         if x >= hi:
             return 1.0
-        t = self._tables()
-        i = math.floor(x) - t.first
-        return t.cdf[min(i, len(t.cdf) - 1)] if i >= 0 else 0.0
+        return self._read(_Tables.lower, math.floor(x))
 
     def sf(self, x: float) -> float:
         lo, hi = self._bounds()
@@ -533,30 +709,15 @@ class _Discrete(Distribution):
             return 1.0
         if x > hi:
             return 0.0
-        t = self._tables()
-        i = math.ceil(x) - t.first
-        return t.sf[max(i, 0)] if i < len(t.sf) else 0.0
+        return self._read(_Tables.upper, math.ceil(x))
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)
-        t = self._tables()
-        if p > 0.5:
-            # the first index j >= 1 with sf[j] <= 1 - p, or len(sf) past the
-            # window, where sf is 0; the answer is the point before it
-            return float(t.first - 1 + bisect_left(t.sf, p - 1.0, 1, key=operator.neg))
-        return float(t.first + bisect_left(t.cdf, p))
+        return float(self._read(_Tables.quantile, p))
 
     def mass_at_most(self, cut: float) -> float:
-        """Total mass of the support points whose mass is at most ``cut``.
-
-        The masses rise to the mode and fall after it, so those points are
-        a prefix [0, a) and a suffix [b, end) of the window, found by
-        bisection.
-        """
-        t = self._tables()
-        a = bisect_right(t.pmf, cut, 0, t.mode + 1)
-        b = bisect_left(t.pmf, -cut, max(a, t.mode), key=operator.neg)
-        return (t.cdf[a - 1] if a else 0.0) + (t.sf[b] if b < len(t.sf) else 0.0)
+        """Total mass of the support points whose mass is at most ``cut``."""
+        return self._read(_Tables.mass_at_most, cut)
 
     def mode_set(self) -> list[float]:
         t = self._tables()
@@ -619,8 +780,7 @@ class NoncentralHypergeometric(_Discrete, Record):
         return ((row1 - k) * (col1 - k) / ((k + 1) * (rest + k + 1)) * odds for k in ks)
 
     def mean(self) -> float:
-        t = self._tables()
-        return _exact_sum([(t.first + i) * v for i, v in enumerate(t.pmf)])
+        return self._read(_Tables.mean, self._bounds()[1])
 
 
 class Hypergeometric(NoncentralHypergeometric):

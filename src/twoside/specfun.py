@@ -43,6 +43,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_TWO_PI_DIGITS = "6.2831853071795864769252867665590057683943"
 _TINY = 1e-300
 _STANDARD_NORMAL = None  # statistics.NormalDist(), made by the first norm_quantile call
 
@@ -368,7 +369,28 @@ def norm_cdf(x: float) -> float:
     """Standard normal distribution function, accurate in both tails."""
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
-    return 0.5 * math.erfc(-x / _SQRT2)
+    tail = math.erfc(-x / _SQRT2)
+    # halving is exact down to 2**-1021; below, the tail would round twice
+    return 0.5 * tail if tail >= 2.0**-1021 else _norm_cdf_subnormal(x)
+
+
+def _norm_cdf_subnormal(x: float) -> float:
+    """norm_cdf(x) for x below about -37.5, where it is subnormal, rounded
+    once: exp(-x**2 / 2) / (-x sqrt(2 pi)) times the asymptotic series of
+    the Mills ratio, 1 - z + 3 z**2 - 15 z**3 + ... with z = 1 / x**2, in
+    30-digit decimal arithmetic, then one conversion to float."""
+    if x < -39.0:
+        return 0.0  # below half the least subnormal
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 30
+        xx = Decimal(x) ** 2
+        z = 1 / xx
+        series = Decimal(1)
+        for k in range(39, 0, -2):  # the terms fall below 1e-39 by z**20
+            series = 1 - k * z * series
+        return float((-xx / 2).exp() * series / (-Decimal(x) * Decimal(_TWO_PI_DIGITS).sqrt()))
 
 
 def norm_pdf(x: float) -> float:

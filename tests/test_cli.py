@@ -120,6 +120,16 @@ def test_json_rejects_a_non_finite_float_like_the_reference(value):
         _assert_renders_like_the_reference(wrapped)
 
 
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j])
+def test_json_rejects_a_value_json_cannot_write_like_the_reference(value):
+    for wrapped in (value, [1.0, value], {"a": {"b": [value]}}):
+        with pytest.raises(TypeError) as ours:
+            cli._json(wrapped)
+        with pytest.raises(TypeError) as reference:
+            json.dumps(wrapped, indent=2, allow_nan=False)
+        assert str(ours.value) == str(reference.value)
+
+
 @pytest.mark.parametrize("value", [1.7976931345e308, 1.7976931348623157e308,
                                    -1.7976931348623157e308])
 def test_json_writes_a_finite_float_that_rounds_to_infinity_unrounded(value):

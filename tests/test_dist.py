@@ -31,6 +31,7 @@ from twoside.dist import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    _build_tables,
     _discrete_tables,
     _exact_sum,
 )
@@ -559,7 +560,7 @@ def test_edge_supports(d, modes):
 def test_window_is_bounded_for_large_supports():
     # the full support has 2 * 10**7 + 1 points; weights stop where they
     # underflow or stop shrinking among the subnormals
-    assert len(Binomial(20_000_000, 0.5)._tables().pmf) < 200_000
+    assert len(_build_tables(Binomial(20_000_000, 0.5)).pmf) < 200_000
 
 
 @pytest.mark.parametrize("d, wide", [
@@ -569,18 +570,21 @@ def test_window_is_bounded_for_large_supports():
     (Binomial(10**6, 1e-12), None),        # 45 points, in a support of 10**6 + 1
 ], ids=str)
 def test_window_past_the_side_cap_is_refused(monkeypatch, d, wide):
-    t = _discrete_tables.__wrapped__(d)
+    t = _build_tables(d)
     sides = {"left": t.mode, "right": len(t.pmf) - 1 - t.mode}
     assert [side for side, size in sides.items() if size > 100] == (
         ["left", "right"] if wide == "both" else [wide] if wide else [])
     monkeypatch.setattr(dist, "_MAX_SIDE", 100)
     if wide is None:
-        assert tuple(_discrete_tables.__wrapped__(d)) == tuple(t)
+        assert tuple(_build_tables(d)) == tuple(t)
         return
-    with pytest.raises(ValueError) as caught:
-        _discrete_tables.__wrapped__(d)
-    assert str(caught.value) == (f"{d!r} has mass on more than 100 points on one side "
-                                 "of its mode; the tables hold at most 100")
+    # the refusal comes before any walk, the core's too
+    for build in (_build_tables, _discrete_tables.__wrapped__,
+                  lambda d: _build_tables(d, dist._FLOOR)):
+        with pytest.raises(ValueError) as caught:
+            build(d)
+        assert str(caught.value) == (f"{d!r} has mass on more than 100 points on one side "
+                                     "of its mode; the tables hold at most 100")
 
 
 def test_binomial_tail_against_high_precision_reference():
@@ -707,7 +711,10 @@ def _seeded_laws(count: int, seed: int = 20081):
 
 
 def _assert_same_tables(d):
-    assert tuple(_discrete_tables.__wrapped__(d)) == _reference_tables(d)
+    t = _build_tables(d)
+    assert tuple(t[:5]) == _reference_tables(d)
+    # the full window serves every query
+    assert (t.cdf_from, t.sf_to, t.left_out, t.right_out) == (0, len(t.pmf) - 1, 0.0, 0.0)
 
 
 def test_tables_match_reference_builder_on_seeded_laws():
@@ -718,26 +725,170 @@ def test_tables_match_reference_builder_on_seeded_laws():
         _assert_same_tables(d)
 
 
-@pytest.mark.parametrize(
-    "d",
-    [
-        Hypergeometric(0, 5, 10),      # a single support point
-        Binomial(10, 1e-6),            # mode on the lower bound
-        Binomial(10, 1 - 1e-6),        # mode on the upper bound
-        Binomial(3, 0.5),              # two tied modes
-        NoncentralHypergeometric(30, 40, 100, 1e-6),
-        Binomial(20_000_000, 0.5),     # a window inside a huge support
-    ],
-    ids=str,
-)
+_EDGE_LAWS = [
+    Hypergeometric(0, 5, 10),      # a single support point
+    Binomial(10, 1e-6),            # mode on the lower bound
+    Binomial(10, 1 - 1e-6),        # mode on the upper bound
+    Binomial(3, 0.5),              # two tied modes
+    NoncentralHypergeometric(30, 40, 100, 1e-6),
+    Binomial(5, 1e-9),             # the core drops the last support point
+    Binomial(20_000_000, 0.5),     # a window inside a huge support
+]
+
+
+@pytest.mark.parametrize("d", _EDGE_LAWS, ids=str)
 def test_tables_match_reference_builder_at_edges(d):
     _assert_same_tables(d)
 
 
 def test_noncentral_mean_is_the_fsum_of_the_table():
     for d in _seeded_laws(60, seed=7)[2::3]:
-        t = d._tables()
+        t = _build_tables(d)
         assert d.mean() == math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))
+
+
+# ---------------------------------------------------------------------------
+# the core window: every float it serves is the full window's
+
+
+def _reference_query(ref, kind: str, k: int) -> float:
+    """The mass, P(X <= k) or P(X >= k) at any support point k, from
+    (first, mode, pmf, cdf, sf) of ``_reference_tables``."""
+    first, _, pmf, cdf, sf = ref
+    i = k - first
+    if kind == "mass":
+        return pmf[i] if 0 <= i < len(pmf) else 0.0
+    if kind == "lower":
+        return cdf[min(i, len(cdf) - 1)] if i >= 0 else 0.0
+    return sf[max(i, 0)] if i < len(sf) else 0.0
+
+
+def _assert_core_serves_the_reference(d) -> int:
+    """Check every point query the core serves, a few points past the full
+    window included, and its quantiles and mass_at_most against the full
+    window's; return the core's length."""
+    core = _build_tables(d, dist._FLOOR)
+    full = _build_tables(d)
+    ref = _reference_tables(d)
+    lo, hi = d._bounds()
+    last = ref[0] + len(ref[2]) - 1
+    for k in range(max(lo, ref[0] - 3), min(hi, last + 3) + 1):
+        for kind in ("mass", "lower", "upper"):
+            got = getattr(core, kind)(k)
+            assert got is None or got == _reference_query(ref, kind, k), (kind, k)
+    for p in (1e-300, 1e-12, 1e-6, 0.3, 0.5, 0.7, 1 - 1e-6, 1 - 2**-53):
+        got = core.quantile(p)
+        assert got is None or got == full.quantile(p)
+    for v in (*core.pmf[:: max(1, len(core.pmf) // 16)], 0.0, 2.0**-121, 1.0):
+        got = core.mass_at_most(v)
+        assert got is None or got == full.mass_at_most(v)
+    got = core.mean(hi)
+    assert got is None or got == full.mean(hi)
+    return len(core.pmf)
+
+
+def test_core_serves_the_full_windows_floats_on_seeded_laws():
+    core = sum(_assert_core_serves_the_reference(d) for d in _seeded_laws(330))
+    full = sum(len(_build_tables(d).pmf) for d in _seeded_laws(330))
+    # the saving itself: the core walks at most 0.45 of the points (100,608
+    # of 285,162 when this was written)
+    assert core <= 0.45 * full
+
+
+@pytest.mark.parametrize("d", _EDGE_LAWS, ids=str)
+def test_core_serves_the_full_windows_floats_at_edges(d):
+    _assert_core_serves_the_reference(d)
+
+
+def _cached(d):
+    return _discrete_tables(d).tables
+
+
+@pytest.mark.parametrize("query, d, arg", [
+    ("cdf", Binomial(2000, 0.5), 0),
+    ("sf", Binomial(2000, 0.5), 2000),
+    ("pdf_or_pmf", Binomial(2000, 0.5), 0),
+    ("pdf_or_pmf", Binomial(2000, 0.5), 2000),
+    ("cdf", Hypergeometric(2000, 2000, 6000), 79),
+    ("sf", Hypergeometric(2000, 2000, 6000), 1000),
+    ("pdf_or_pmf", Hypergeometric(2000, 2000, 6000), 79),
+    ("quantile", Hypergeometric(2000, 2000, 6000), 1e-300),
+    ("quantile", Hypergeometric(2000, 2000, 6000), 1e-30),
+    ("mass_at_most", Hypergeometric(2000, 2000, 6000), 1e-300),
+], ids=str)
+def test_reads_past_the_core_swap_in_the_full_window(query, d, arg):
+    _discrete_tables.cache_clear()
+    full = _build_tables(d)
+    assert _cached(d) != full   # the core is cached first
+    got = getattr(d, query)(arg)
+    assert _cached(d) == full   # the full window replaces it
+    assert getattr(d, query)(arg) == got
+    ref = _reference_tables(d)
+    if query == "cdf":
+        assert got == _reference_query(ref, "lower", arg)
+    elif query == "sf":
+        assert got == _reference_query(ref, "upper", arg)
+    elif query == "pdf_or_pmf":
+        assert got == _reference_query(ref, "mass", arg)
+    elif query == "quantile":
+        assert got == full.quantile(arg)
+    else:
+        assert got == full.mass_at_most(arg)
+
+
+def test_noncentral_mean_swaps_in_the_full_window_when_the_core_cannot_decide(monkeypatch):
+    # a higher floor widens the mean's omitted bound past its rounding
+    monkeypatch.setattr(dist, "_FLOOR", 2.0**-50)
+    _discrete_tables.cache_clear()
+    d = NoncentralHypergeometric(20, 60, 400, 0.5)
+    core = _cached(d)
+    assert core.right_out and core.mean(d._bounds()[1]) is None
+    t = _build_tables(d)
+    assert d.mean() == math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))
+    assert _cached(d) == t
+
+
+@pytest.mark.parametrize("patch, d", [
+    (("_FLOOR", 2.0**-30), Binomial(20, 0.3)),       # the total is not decided
+    (("_MAX_LEFT_OUT", 0), Binomial(2000, 0.5)),    # no side has a bound
+], ids=str)
+def test_core_that_cannot_prove_its_floats_is_not_cached(monkeypatch, patch, d):
+    monkeypatch.setattr(dist, *patch)
+    _discrete_tables.cache_clear()
+    assert _build_tables(d, dist._FLOOR) is None
+    assert _cached(d) == _build_tables(d)
+
+
+@pytest.mark.parametrize("spec, d", [
+    ("binom:2000,0.3", Binomial(2000, 0.3)),
+    ("binom:50000,0.01", Binomial(50000, 0.01)),
+    ("hyper:2000,2000,6000", Hypergeometric(2000, 2000, 6000)),
+    ("hyper:50,57,270", Hypergeometric(50, 57, 270)),
+    ("nchyper:300,500,2000,2.5", NoncentralHypergeometric(300, 500, 2000, 2.5)),
+    ("nchyper:5000,8000,30000,0.4", NoncentralHypergeometric(5000, 8000, 30000, 0.4)),
+], ids=str)
+def test_every_method_within_five_sd_reads_only_the_core(monkeypatch, capsys, spec, d):
+    from twoside import cli, specfun
+
+    xs = sorted({int(d.quantile(specfun.norm_cdf(z))) for z in (-5, -3, -1, 0, 1, 3, 5)})
+    builds = []
+    build = dist._build_tables
+
+    def counted(law, floor=0.0):
+        builds.append(floor)
+        return build(law, floor)
+
+    monkeypatch.setattr(dist, "_build_tables", counted)
+    for x in xs:
+        _discrete_tables.cache_clear()
+        assert cli.main(["pvalue", "--dist", spec, "--x", str(x), "--method", "all"]) == 0
+    capsys.readouterr()
+    assert builds == [dist._FLOOR] * len(xs)
+
+
+def test_core_holds_the_whole_law_where_no_weight_falls_below_the_floor():
+    d = Binomial(40, 0.5)
+    assert _build_tables(d, dist._FLOOR) == _build_tables(d)
 
 
 def test_exact_sum_falls_back_when_the_tail_decides_the_rounding():
@@ -774,3 +925,18 @@ _SPREAD_FLOATS = st.one_of(
 @given(st.lists(_SPREAD_FLOATS, min_size=1, max_size=60))
 def test_exact_sum_equals_fsum(values):
     assert _exact_sum(values) == math.fsum(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SPREAD_FLOATS, min_size=1, max_size=60), _SPREAD_FLOATS)
+def test_exact_sum_with_omitted_mass_is_exact_or_undecided(values, omitted):
+    got = _exact_sum(values, omitted)
+    assert got is None or got == math.fsum([*values, 0.0]) == math.fsum([*values, omitted])
+
+
+def test_exact_sum_reports_an_undecided_total():
+    # 1 + 2**-52 and 1 are both sums of 1 and a mass in [0, 2**-52]
+    assert _exact_sum([1.0], 2.0**-52) is None
+    # past the cut the core alone is not decided, but the whole sum is
+    values = [1.0, 2.0**-53, 2.0**-200]
+    assert _exact_sum(values, 2.0**-300) == 1.0 + 2.0**-52

@@ -56,3 +56,8 @@ def test_walk_returns_none_at_the_end_or_past_the_float_range():
     assert roots.walk(lambda t: 1.0, 0.5, 1.0, 0.0) is None
     assert roots.walk(lambda t: 1.0, 2.0, 0.0, math.inf) is None
     assert roots.walk(lambda t: 1.0, 0.0, 1.0, 0.0) is None  # start on the end
+
+
+def test_brentq_requires_a_sign_change():
+    with pytest.raises(ValueError, match=r"^brentq requires a sign change on \[0.0, 1.0\]$"):
+        brentq(lambda t: t + 1.0, 0.0, 1.0)

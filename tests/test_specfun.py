@@ -468,6 +468,33 @@ def test_norm_cdf_rejects_non_finite():
         norm_cdf(math.nan)
 
 
+def test_norm_pdf_rejects_non_finite():
+    with pytest.raises(ValueError, match="^argument must be finite, got nan$"):
+        norm_pdf(math.nan)
+
+
+# mpmath.ncdf at 60 digits, rounded once to the nearest multiple of 2**-1074
+# (float() of an mpf rounds subnormals twice)
+@pytest.mark.parametrize("x, ref", [
+    (-37.55, 7.044335778653535e-309),
+    (-37.6, 1.074811249587044e-309),
+    (-37.7, 2.4834853102776e-311),
+    (-37.8, 5.6813439929e-313),
+    (-38.0, 2.88542835e-316),
+    (-38.2, 1.40804e-319),
+    (-38.4, 6.4e-323),
+    (-38.475365736772396, 5e-324),
+])
+def test_norm_cdf_in_the_subnormal_range_against_frozen_mpmath(x, ref):
+    assert abs(norm_cdf(x) - ref) <= 5e-324  # at most one subnormal step
+
+
+@pytest.mark.parametrize("x", [-38.6, -39.0, -39.5, -1e300])
+def test_norm_cdf_rounds_to_zero_below_half_the_least_subnormal(x):
+    # mpmath: ncdf(-38.6) = 2.97e-326, below 2**-1075
+    assert norm_cdf(x) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # per-process memo of the incomplete gamma/beta kernels
 

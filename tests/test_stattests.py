@@ -472,3 +472,14 @@ def test_glr_statistic_validation():
         glr_statistic(1.0, 0)
     with pytest.raises(ValueError):
         glr_statistic(1.0, 6.0)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_binomial_test_requires_a_positive_n(n):
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {n}$"):
+        binomial_test(0, n, 0.5)
+
+
+def test_expected_counts_need_a_non_empty_table():
+    with pytest.raises(ValueError, match="^expected counts need a non-empty table$"):
+        ContingencyTable(0, 0, 0, 0).expected(1, 1)
