@@ -24,12 +24,23 @@ import math
 from typing import Callable, Sequence
 
 from ._record import Record
-from .dist import Binomial, ChiSquare, Distribution, FRatio, Hypergeometric, TruncatedNormal
+from .dist import (
+    Binomial,
+    ChiSquare,
+    Distribution,
+    FRatio,
+    Hypergeometric,
+    TruncatedNormal,
+    _cdf_end,
+    _sf_end,
+)
 from .pvalue import (
     CONDITIONAL,
     DOUBLED,
     MIN_LIKELIHOOD,
     TailAnchor,
+    _anchored_tail,
+    _mass_no_likelier,
     _modified_scale,
     _partner,
     _tail_sum,
@@ -310,24 +321,39 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     Columns: n11, prob = P(n11), p_one_sided = min of the two inclusive
     tails, p_min_likelihood, and p_conditional about the mean anchor. At
     most 100,001 rows: a larger family is a ``ValueError``.
+
+    The family spans the whole support, so the rows are read from the full
+    window, fetched once, rather than point by point through the cache:
+    the floats are those of ``pdf_or_pmf``, ``cdf``, ``sf``,
+    :func:`p_min_likelihood` and :func:`p_conditional` at each point, by
+    the same clamps, tie rule and anchored-tail division.
     """
     d = Hypergeometric(row1, col1, total)
-    points = d.support().points()
-    if len(points) > _MAX_TABLE_ROWS:
-        raise ValueError(f"the margin family has {len(points)} tables; "
+    lo, hi = d._bounds()
+    if hi - lo + 1 > _MAX_TABLE_ROWS:
+        raise ValueError(f"the margin family has {hi - lo + 1} tables; "
                          f"at most {_MAX_TABLE_ROWS} are tabulated")
     a = d.mean()
-    rows = []
-    for k in points:
-        x = float(k)
-        rows.append({
-            "n11": k,
-            "prob": d.pdf_or_pmf(x),
-            "p_one_sided": min(d.cdf(x), d.sf(x)),
-            "p_min_likelihood": p_min_likelihood(d, x),
-            "p_conditional": p_conditional(d, x, a),
-        })
-    return rows
+    w = tail_weights(d, a)
+    t = d._full_tables()
+    points = range(lo, hi + 1)
+    lower = [t.lower(k) if (end := _cdf_end(k, lo, hi)) is None else end for k in points]
+    upper = [t.upper(k) if (end := _sf_end(k, lo, hi)) is None else end for k in points]
+
+    def cdf(k: int) -> float:
+        return lower[k - lo]
+
+    def sf(k: int) -> float:
+        return upper[k - lo]
+
+    mass_at_most = t.mass_at_most
+    # k compares with the float anchor exactly, as float(k) does
+    return [{"n11": k,
+             "prob": prob,
+             "p_one_sided": min(low, up),
+             "p_min_likelihood": _mass_no_likelier(prob, mass_at_most),
+             "p_conditional": min(1.0, _anchored_tail(cdf, sf, k, a, w))}
+            for k, prob, low, up in zip(points, map(t.mass, points), lower, upper)]
 
 
 def _fig1(resolution: int) -> tuple[list[str], list[tuple]]:

@@ -150,9 +150,27 @@ def _json(value, indent: str = "\n") -> str:
     of its fields in declaration order, which ``vars`` gives. A finite float
     whose rounding overflows (from 1.7976931345e308 up) is written unrounded;
     NaN and infinities raise the ``ValueError`` that ``json`` raises.
+
+    A float is written as ``repr(float(text))`` for text =
+    ``f"{value:.10g}"``, mostly as text itself. Where the decimal exponent
+    of text is from -307 to 307 the rounded value is a normal double, whose
+    rounding interval holds only one decimal of at most 15 significant
+    digits, so text has the digits of its shortest ``repr``. Both formats
+    are fixed for exponents -4 to 9 (``repr`` adds ``.0`` to an integral
+    value; zero is ``0.0``) and scientific, with the same exponent form,
+    below -4 and from 16 on. Other text (exponents 10 to 15, where ``repr``
+    is fixed; -308 and below, where the subnormals are; 308, whose rounding
+    may overflow; NaN and infinities) takes the round trip.
     """
     if isinstance(value, float):
-        rounded = float(f"{value:.10g}")
+        text = f"{value:.10g}"
+        if "e" in text:
+            exponent = int(text.partition("e")[2])
+            if -308 < exponent < -4 or 15 < exponent < 308:
+                return text
+        elif math.isfinite(value):
+            return text if "." in text else text + ".0"
+        rounded = float(text)
         if math.isfinite(rounded):
             return repr(rounded)
         if math.isfinite(value):

@@ -494,16 +494,23 @@ class _Tables(NamedTuple):
             return self.pmf[i]
         return None if (self.left_out if i < 0 else self.right_out) else 0.0
 
+    # lower, upper and mass_at_most are the per-point reads of a whole table
+    # (analysis.fisher_pvalue_table), so they avoid min/max calls
     def lower(self, k: int) -> float | None:
         """P(X <= k)."""
-        i = min(k - self.first, len(self.cdf) - 1)
+        cdf = self.cdf
+        i = k - self.first
+        if i >= len(cdf):
+            i = len(cdf) - 1
         if i >= self.cdf_from:
-            return self.cdf[i]
+            return cdf[i]
         return None if i >= 0 or self.left_out else 0.0
 
     def upper(self, k: int) -> float | None:
         """P(X >= k)."""
-        i = max(k - self.first, 0)
+        i = k - self.first
+        if i < 0:
+            i = 0
         if i <= self.sf_to:
             return self.sf[i]
         return None if i < len(self.sf) or self.right_out else 0.0
@@ -521,8 +528,9 @@ class _Tables(NamedTuple):
     def mass_at_most(self, cut: float) -> float | None:
         # the masses rise to the mode and fall after it, so the points whose
         # mass is at most cut are a prefix [0, a) and a suffix [b, end)
-        a = bisect_right(self.pmf, cut, 0, self.mode + 1)
-        b = bisect_left(self.pmf, -cut, max(a, self.mode), key=operator.neg)
+        pmf, mode = self.pmf, self.mode
+        a = bisect_right(pmf, cut, 0, mode + 1)
+        b = bisect_left(pmf, -cut, a if a > mode else mode, key=operator.neg)
         low, high = self.lower(self.first + a - 1), self.upper(self.first + b)
         return None if low is None or high is None else low + high
 
@@ -640,6 +648,22 @@ def _build_tables(d: "_Discrete", floor: float = 0.0) -> _Tables | None:
                    left_out, right_out)
 
 
+def _cdf_end(x: float, lo: int, hi: int) -> float | None:
+    """P(X <= x) where no table is read, for a law on lo..hi: 0 below lo and
+    1 from hi on; None in between."""
+    if x < lo:
+        return 0.0
+    return 1.0 if x >= hi else None
+
+
+def _sf_end(x: float, lo: int, hi: int) -> float | None:
+    """P(X >= x) where no table is read, for a law on lo..hi: 1 up to lo and
+    0 above hi; None in between."""
+    if x <= lo:
+        return 1.0
+    return 0.0 if x > hi else None
+
+
 class _Slot:
     """A law's cached tables: its core window until a query reads past it."""
 
@@ -686,6 +710,15 @@ class _Discrete(Distribution):
             value = query(slot.tables, arg)
         return value
 
+    def _full_tables(self) -> _Tables:
+        """The full window, which serves every query and from then on
+        replaces the core in the cache; a core that left nothing out on
+        either side is the full window already."""
+        slot = _discrete_tables(self)
+        if slot.tables.left_out or slot.tables.right_out:
+            slot.tables = _build_tables(self)
+        return slot.tables
+
     def support(self) -> Support:
         lo, hi = self._bounds()
         return Support(float(lo), float(hi), True)
@@ -697,19 +730,13 @@ class _Discrete(Distribution):
 
     def cdf(self, x: float) -> float:
         lo, hi = self._bounds()
-        if x < lo:
-            return 0.0
-        if x >= hi:
-            return 1.0
-        return self._read(_Tables.lower, math.floor(x))
+        end = _cdf_end(x, lo, hi)
+        return self._read(_Tables.lower, math.floor(x)) if end is None else end
 
     def sf(self, x: float) -> float:
         lo, hi = self._bounds()
-        if x <= lo:
-            return 1.0
-        if x > hi:
-            return 0.0
-        return self._read(_Tables.upper, math.ceil(x))
+        end = _sf_end(x, lo, hi)
+        return self._read(_Tables.upper, math.ceil(x)) if end is None else end
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)

@@ -160,24 +160,27 @@ def tail_weights(d: Distribution, anchor_value: float) -> Weights:
     return Weights(w_left, w_right)
 
 
+@functools.lru_cache(maxsize=256)
 def _modified_scale(d: Distribution, anchor_value: float) -> float:
-    """1 + P(X = A) when the anchor is an attainable support point, else 1."""
+    """1 + P(X = A) when the anchor is an attainable support point, else 1.
+    Memoized per process, as :func:`tail_weights` is."""
     if not d.is_discrete or not float(anchor_value).is_integer():
         return 1.0
     return 1.0 + d.pdf_or_pmf(anchor_value)  # mass 0 off the support
 
 
-def _anchored_tail(d: Distribution, x: float, anchor_value: float, w: Weights,
-                   scale: float = 1.0) -> float:
-    """tail(x) * scale / w_side: P(X <= x) below the anchor, P(X >= x) above it.
+def _anchored_tail(cdf: Callable[[float], float], sf: Callable[[float], float], x: float,
+                   anchor_value: float, w: Weights, scale: float = 1.0) -> float:
+    """tail(x) * scale / w_side: cdf(x) = P(X <= x) below the anchor,
+    sf(x) = P(X >= x) above it.
 
     Returns 1 at the anchor; the caller caps the value at 1 where needed.
     """
     if x == anchor_value:
         return 1.0
     if x < anchor_value:
-        return d.cdf(x) * scale / w.w_left
-    return d.sf(x) * scale / w.w_right
+        return cdf(x) * scale / w.w_left
+    return sf(x) * scale / w.w_right
 
 
 def p_weighted(d: Distribution, x: float, anchor_value: float, weights: Weights) -> float:
@@ -187,7 +190,7 @@ def p_weighted(d: Distribution, x: float, anchor_value: float, weights: Weights)
                          "use p_conditional for discrete families")
     if abs(weights.w_left + weights.w_right - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {weights.w_left!r} + {weights.w_right!r}")
-    return min(1.0, _anchored_tail(d, x, anchor_value, weights))
+    return min(1.0, _anchored_tail(d.cdf, d.sf, x, anchor_value, weights))
 
 
 def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
@@ -204,7 +207,7 @@ def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
     else:
         if anchor_value is None:
             raise ValueError("continuous doubled p-values need an anchor to pick the tail")
-        raw = _anchored_tail(d, x, anchor_value, _HALVES)
+        raw = _anchored_tail(d.cdf, d.sf, x, anchor_value, _HALVES)
     return min(1.0, raw) if truncate else raw
 
 
@@ -218,7 +221,8 @@ def p_conditional(d: Distribution, x: float, anchor_value: float, *,
     variants agree.
     """
     scale = _modified_scale(d, anchor_value) if modified else 1.0
-    return min(1.0, _anchored_tail(d, x, anchor_value, tail_weights(d, anchor_value), scale))
+    return min(1.0, _anchored_tail(d.cdf, d.sf, x, anchor_value, tail_weights(d, anchor_value),
+                                   scale))
 
 
 def p_min_likelihood(d: Distribution, x: float) -> float:
@@ -231,14 +235,20 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
     density gives 1 identically.
     """
     if d.is_discrete:
-        px = d.pdf_or_pmf(x)
-        if px <= 0.0:
-            return 0.0
-        return min(1.0, d.mass_at_most(px * (1.0 + _TIE_TOL)))
+        return _mass_no_likelier(d.pdf_or_pmf(x), d.mass_at_most)
 
     if isinstance(d, Uniform):
         return 1.0
     return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x)
+
+
+def _mass_no_likelier(px: float, mass_at_most: Callable[[float], float]) -> float:
+    """The discrete min-likelihood p-value of an outcome of mass ``px``:
+    ``mass_at_most(cut)`` is the law's total mass at points of mass at most
+    cut, and ties count within the relative tolerance ``_TIE_TOL``."""
+    if px <= 0.0:
+        return 0.0
+    return min(1.0, mass_at_most(px * (1.0 + _TIE_TOL)))
 
 
 def _tail_sum(d: Distribution, level: Callable, peak: float, x: float) -> float:

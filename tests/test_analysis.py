@@ -34,7 +34,16 @@ from twoside.analysis import (
     umpu_weights,
     variance_power,
 )
-from twoside.dist import Binomial, ChiSquare, FRatio, Triangular, TruncatedNormal, Uniform
+from twoside.dist import (
+    Binomial,
+    ChiSquare,
+    FRatio,
+    Hypergeometric,
+    Triangular,
+    TruncatedNormal,
+    Uniform,
+    _discrete_tables,
+)
 from twoside.pvalue import p_conditional, p_min_likelihood
 
 CHISQ5 = ChiSquare(5)
@@ -654,6 +663,11 @@ def test_binomial_weight_table_full_regeneration():
         assert row["w_left"] == pytest.approx(expect[0], abs=1e-3)
         assert row["weight_ratio"] == pytest.approx(expect[1], abs=1e-3)
         assert row["w_left_modified"] == pytest.approx(expect[2], abs=1e-3)
+    # tail_weights and _modified_scale are memoized, so a second table (the
+    # CLI's JSON after its CSV) builds no discrete table
+    misses = _discrete_tables.cache_info().misses
+    assert binomial_weight_table() == rows
+    assert _discrete_tables.cache_info().misses == misses
 
 
 def test_binomial_weight_table_spot_rows():
@@ -754,6 +768,28 @@ def test_fisher_pvalue_table_golden_rows():
     assert rows30[2]["p_conditional"] == 1.0
     assert list(rows30[0]) == ["n11", "prob", "p_one_sided", "p_min_likelihood",
                                "p_conditional"]
+
+
+@pytest.mark.parametrize("margins", [
+    (9, 5, 30), (9, 5, 40), (2000, 2000, 6000), (50, 700, 800),
+    (300, 20, 100000),   # tails in the subnormal range
+    (0, 5, 10), (10, 0, 10), (5, 10, 10), (3, 3, 3), (1, 1, 2),   # one or two tables
+], ids=str)
+def test_fisher_pvalue_table_rows_are_the_per_point_values(margins):
+    rows = fisher_pvalue_table(*margins)
+    # the per-point calls start from the core window, as a lone query does
+    _discrete_tables.cache_clear()
+    d = Hypergeometric(*margins)
+    lo, hi = d._bounds()
+    a = d.mean()
+    assert [r["n11"] for r in rows] == list(range(lo, hi + 1))
+    for row in rows:
+        x = float(row["n11"])
+        assert row == {"n11": row["n11"],
+                       "prob": d.pdf_or_pmf(x),
+                       "p_one_sided": min(d.cdf(x), d.sf(x)),
+                       "p_min_likelihood": p_min_likelihood(d, x),
+                       "p_conditional": p_conditional(d, x, a)}
 
 
 # ---------------------------------------------------------------------------

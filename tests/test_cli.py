@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -99,10 +100,26 @@ _FLOATS = [
 ]
 
 
+def _with_neighbours(value: float) -> list[float]:
+    return [value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)]
+
+
+# every decimal exponent, either side of each power of ten, and nearly every
+# binary exponent (subnormals, infinities and NaNs included) through seeded
+# random bit patterns
+_POWERS_OF_TEN = [v for k in range(-330, 309) for sign in (1.0, -1.0)
+                  for v in _with_neighbours(sign * float(f"1e{k}"))]
+_BITS = random.Random(2008)
+_RANDOM_BITS = [struct.unpack("<d", _BITS.getrandbits(64).to_bytes(8, "little"))[0]
+                for _ in range(20_000)]
+
+
 def test_json_matches_the_reference_on_edge_values():
     for value in _FLOATS:
         _assert_renders_like_the_reference(value)
         _assert_renders_like_the_reference([value, {"v": value}])
+    for value in _POWERS_OF_TEN + _RANDOM_BITS:
+        _assert_renders_like_the_reference(value)
     for text in _STRINGS:
         _assert_renders_like_the_reference({text: text, "list": [text]})
     for value in [2**63, 2**64 + 1, -(2**100), 0, -1, True, False, None, [], {}, (), [[]],

@@ -836,6 +836,16 @@ def test_reads_past_the_core_swap_in_the_full_window(query, d, arg):
         assert got == full.mass_at_most(arg)
 
 
+@pytest.mark.parametrize("d", [Hypergeometric(2000, 2000, 6000), Binomial(40, 0.5)], ids=str)
+def test_full_tables_swaps_the_full_window_into_the_cached_slot(d):
+    # the second law's core leaves nothing out, so it is the full window
+    _discrete_tables.cache_clear()
+    t = d._full_tables()
+    assert t == _build_tables(d)
+    assert _cached(d) is t
+    assert _discrete_tables.cache_info().misses == 1
+
+
 def test_noncentral_mean_swaps_in_the_full_window_when_the_core_cannot_decide(monkeypatch):
     # a higher floor widens the mean's omitted bound past its rounding
     monkeypatch.setattr(dist, "_FLOOR", 2.0**-50)
