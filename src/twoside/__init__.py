@@ -9,14 +9,14 @@ binomial, and Fisher exact tests, and provides the power, bias, and
 unbiased-weight analysis that discriminates between the constructions.
 
 The namespace is lazy: ``import twoside`` loads none of the modules below,
-and each module's ``__all__`` is the only list of its exports. A module is
-imported on first access (PEP 562 ``__getattr__``); any other name is looked
-up, on every access, in ``dist``, ``pvalue``, ``stattests`` and ``analysis``,
-importing each in turn until one exports it. So a name also loads the modules
-before its own (``twoside.bias`` loads ``stattests`` too), and ``__all__``,
-``dir``, ``from twoside import *`` and an unknown name load all four; so
-does ``from twoside import roots``, which asks for ``roots`` before importing
-it (``import twoside.roots`` does not).
+and each module's ``__all__`` is the only list of its exports. A submodule is
+imported on first access (PEP 562 ``__getattr__``), and loads only what it
+imports itself (``from twoside import roots`` loads ``roots`` alone); any
+other name is looked up, on every access, in ``dist``, ``pvalue``,
+``stattests`` and ``analysis``, importing each in turn until one exports it.
+So a name also loads the modules before its own (``twoside.bias`` loads
+``stattests`` too), and ``__all__``, ``dir``, ``from twoside import *`` and
+an unknown name load all four.
 """
 
 import importlib
@@ -24,17 +24,15 @@ import importlib
 __version__ = "0.1.0"
 
 _MODULES = ("dist", "pvalue", "stattests", "analysis")
+_SUBMODULES = (*_MODULES, "cli", "roots", "specfun", "_record")
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    if name in _SUBMODULES:
         return importlib.import_module(f"{__name__}.{name}")
     if name == "__all__":
         return ["__version__", *(export for module in _MODULES
                                  for export in __getattr__(module).__all__)]
-    # each module binds its __all__ after its imports, so dist's own
-    # ``from . import specfun`` stops here at the half-loaded dist and falls
-    # through to the import system
     for module in map(__getattr__, _MODULES):
         if name in module.__all__:
             return getattr(module, name)

@@ -31,6 +31,7 @@ from .dist import (
     FRatio,
     Hypergeometric,
     TruncatedNormal,
+    _Tables,
     _cdf_end,
     _sf_end,
 )
@@ -335,7 +336,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
                          f"at most {_MAX_TABLE_ROWS} are tabulated")
     a = d.mean()
     w = tail_weights(d, a)
-    t = d._full_tables()
+    t = d._read(_Tables.full, None)
     points = range(lo, hi + 1)
     lower = [t.lower(k) if (end := _cdf_end(k, lo, hi)) is None else end for k in points]
     upper = [t.upper(k) if (end := _sf_end(k, lo, hi)) is None else end for k in points]

@@ -338,17 +338,6 @@ def _table_results(rows: list[dict], fmt: str) -> dict | str:
     return {"rows": rows}
 
 
-@functools.cache
-def _bias_method_aliases() -> dict[str, str]:
-    """``analyze bias --method`` words: the p-value method names and aliases
-    whose method has a bias report, and umpu. Built by the first ``bias``
-    request; callers only read it."""
-    from . import analysis
-
-    return {name: method for name, method in {**_METHOD_ALIASES, "umpu": analysis.UMPU}.items()
-            if method in analysis.BIAS_METHODS}
-
-
 def _cmd_analyze(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, object]:
     from . import analysis
 
@@ -368,12 +357,11 @@ def _cmd_analyze(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, obje
 
     if kind == "bias":
         d = parse_dist(args.dist)
-        aliases = _bias_method_aliases()
-        if args.method not in aliases:
+        method = {**_METHOD_ALIASES, "umpu": analysis.UMPU}.get(args.method)
+        if method not in analysis.BIAS_METHODS:
             raise UsageError(f"unknown bias method {args.method!r}; expected one of "
                              + ", ".join(analysis.BIAS_METHODS))
-        report = analysis.bias(d, aliases[args.method], args.alpha,
-                               anchor=parse_anchor(args.anchor))
+        report = analysis.bias(d, method, args.alpha, anchor=parse_anchor(args.anchor))
         inputs = {"dist": args.dist, "method": args.method, "alpha": args.alpha,
                   "anchor": args.anchor}
         return inputs, report

@@ -163,33 +163,12 @@ class Support(Record):
 
 
 class Distribution:
-    """Shared interface. Subclasses implement the abstract methods below."""
+    """Shared interface. A law defines ``support``, ``cdf``, ``sf`` (the
+    upper tail, inclusive of x for discrete laws), ``pdf_or_pmf`` (density
+    or probability mass at x), ``quantile``, ``mean`` and ``mode_set`` (all
+    global maximizers of the density or mass function)."""
 
     is_discrete: bool = False
-
-    def support(self) -> Support:
-        raise NotImplementedError
-
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
-    def sf(self, x: float) -> float:
-        """Upper tail probability; inclusive of x for discrete families."""
-        raise NotImplementedError
-
-    def pdf_or_pmf(self, x: float) -> float:
-        """Density (continuous) or probability mass (discrete) at x."""
-        raise NotImplementedError
-
-    def quantile(self, p: float) -> float:
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        raise NotImplementedError
-
-    def mode_set(self) -> list[float]:
-        """All global maximizers of the density or mass function."""
-        raise NotImplementedError
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -534,6 +513,10 @@ class _Tables(NamedTuple):
         low, high = self.lower(self.first + a - 1), self.upper(self.first + b)
         return None if low is None or high is None else low + high
 
+    def full(self, _: None = None) -> _Tables | None:
+        """These tables if they are the full window (nothing left out)."""
+        return None if self.left_out or self.right_out else self
+
     def mean(self, hi: int) -> float | None:
         # each point left out is at most hi, and its mass is in the bounds
         return _exact_sum([(self.first + i) * v for i, v in enumerate(self.pmf)],
@@ -681,20 +664,14 @@ def _discrete_tables(d: "_Discrete") -> _Slot:
 class _Discrete(Distribution):
     """Base for integer-supported families.
 
-    A family gives its support bounds and ``_ratios(ks)``, a lazy iterator
-    of the mass ratios ``pmf(k + 1) / pmf(k)`` at the points ``ks``; the
-    tables are built from them over a window around the mode, with the
-    total from ``_exact_sum``, and cached. The module docstring says why
+    A family defines ``_bounds()``, its support bounds, and ``_ratios(ks)``,
+    a lazy iterator of the mass ratios ``pmf(k + 1) / pmf(k)`` at the points
+    ``ks``; the tables are built from them over a window around the mode,
+    with the total from ``_exact_sum``, and cached. The module docstring says why
     the build is exact.
     """
 
     is_discrete = True
-
-    def _bounds(self) -> tuple[int, int]:
-        raise NotImplementedError
-
-    def _ratios(self, ks: Iterable[int]) -> Iterator[float]:
-        raise NotImplementedError
 
     def _tables(self) -> _Tables:
         return _discrete_tables(self).tables
@@ -709,15 +686,6 @@ class _Discrete(Distribution):
             slot.tables = _build_tables(self)
             value = query(slot.tables, arg)
         return value
-
-    def _full_tables(self) -> _Tables:
-        """The full window, which serves every query and from then on
-        replaces the core in the cache; a core that left nothing out on
-        either side is the full window already."""
-        slot = _discrete_tables(self)
-        if slot.tables.left_out or slot.tables.right_out:
-            slot.tables = _build_tables(self)
-        return slot.tables
 
     def support(self) -> Support:
         lo, hi = self._bounds()

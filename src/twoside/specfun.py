@@ -279,11 +279,6 @@ def reg_beta(x: float, a: float, b: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_continued_fraction(1.0 - x, b, a) / b
 
 
-def _check_prob_for_inverse(p: float) -> None:
-    if not math.isfinite(p) or p < 0.0 or p >= 1.0:
-        raise ValueError(f"probability must lie in [0, 1), got {p!r}")
-
-
 def _newton_in_bracket(f: Callable[[float], float], log_pdf: Callable[[float], float],
                        x: float, lo: float, hi: float) -> float:
     # Newton on the increasing f, whose derivative is exp(log_pdf). Each sign
@@ -318,7 +313,8 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
     p = 1 is rejected (the inverse diverges); p = 0 returns 0.
     """
     _check_gamma_shape(a)
-    _check_prob_for_inverse(p)
+    if not math.isfinite(p) or p < 0.0 or p >= 1.0:
+        raise ValueError(f"probability must lie in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
 

@@ -300,17 +300,6 @@ def davis_statistics(t: ContingencyTable) -> DavisStatistics:
     return DavisStatistics(t1=t1, t2=t2, t3=t3, t4=t4, t5=t5, t6=t6)
 
 
-def _margin_tables(row1: int, col1: int, total: int) -> list[ContingencyTable]:
-    """All 2x2 tables with the given first-row, first-column, and grand totals."""
-    d = Hypergeometric(row1, col1, total)
-    sup = d.support()
-    tables = []
-    for k in sup.points():
-        tables.append(ContingencyTable(
-            n11=k, n12=row1 - k, n21=col1 - k, n22=total - row1 - col1 + k))
-    return tables
-
-
 def davis_ordering(row1: int, col1: int, total: int, which: str) -> list[tuple[int, ...]]:
     """n11 values of a margin family sorted by increasing statistic.
 
@@ -320,7 +309,8 @@ def davis_ordering(row1: int, col1: int, total: int, which: str) -> list[tuple[i
     natural refinement for values the statistic itself cannot separate.
     """
     scored = []
-    for t in _margin_tables(row1, col1, total):
+    for k in Hypergeometric(row1, col1, total).support().points():
+        t = ContingencyTable(n11=k, n12=row1 - k, n21=col1 - k, n22=total - row1 - col1 + k)
         stats = davis_statistics(t)
         scored.append((stats.by_id(which), stats.t1, t.n11))
     scored.sort()

@@ -1435,11 +1435,21 @@ def test_figure_choices_are_the_analysis_figures():
     assert which["choices"] == analysis.FIGURES
 
 
-def test_bias_aliases_map_to_exactly_the_bias_methods():
-    aliases = cli._bias_method_aliases()
-    assert set(aliases.values()) == set(analysis.BIAS_METHODS)
-    assert all(aliases[method] == method for method in analysis.BIAS_METHODS)
-    assert aliases["minlik"] == pvalue.MIN_LIKELIHOOD
+def test_bias_aliases_map_to_exactly_the_bias_methods(capsys):
+    words = {method: method for method in analysis.BIAS_METHODS}
+    words["minlik"] = pvalue.MIN_LIKELIHOOD
+    for word, method in words.items():
+        code, out, err = run(capsys, "analyze", "bias", "--dist", "chisq:5",
+                             "--method", word, "--alpha", "0.05")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["method"] == method
+    # p-value methods without a bias report, under their names and aliases
+    for word in ("conditional_modified", "conditional-modified", "weighted:0.3"):
+        code, out, err = run(capsys, "analyze", "bias", "--dist", "chisq:5",
+                             "--method", word, "--alpha", "0.05")
+        assert (code, out) == (2, "")
+        assert err == (f"error: unknown bias method {word!r}; expected one of "
+                       "doubled, conditional, umpu, min_likelihood\n")
 
 
 ALL_FOUR = ("['twoside._record', 'twoside.analysis', 'twoside.dist', 'twoside.pvalue', "
@@ -1465,6 +1475,24 @@ def test_package_name_loads_the_modules_up_to_its_own(name, found, loaded):
         " sorted(m for m in set(sys.modules) - bare if m.startswith('twoside.')))\n"
     )
     assert _run_probe(probe) == f"{found} {loaded}\n"
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("roots", "['twoside.roots']"),
+    ("specfun", "['twoside.specfun']"),
+    ("_record", "['twoside._record']"),
+    ("cli", "['twoside._record', 'twoside.cli', 'twoside.dist', 'twoside.pvalue', "
+            "'twoside.roots', 'twoside.specfun']"),
+])
+def test_package_submodule_loads_only_its_own_imports(name, loaded):
+    probe = (
+        "import sys\n"
+        "import twoside\n"
+        "bare = set(sys.modules)\n"
+        f"from twoside import {name}\n"
+        "print(sorted(m for m in set(sys.modules) - bare if m.startswith('twoside.')))\n"
+    )
+    assert _run_probe(probe) == f"{loaded}\n"
 
 
 def test_star_import_binds_every_export_in_a_fresh_interpreter():

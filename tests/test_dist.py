@@ -31,6 +31,7 @@ from twoside.dist import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    _Tables,
     _build_tables,
     _discrete_tables,
     _exact_sum,
@@ -51,6 +52,25 @@ def hyper_pmf_exact(row1: int, col1: int, total: int, k: int) -> Fraction:
         math.comb(row1, k) * math.comb(total - row1, col1 - k),
         math.comb(total, col1),
     )
+
+
+# ---------------------------------------------------------------------------
+# the law interface
+
+LAWS = [getattr(dist, name) for name in dist.__all__
+        if name not in ("Support", "Distribution")]
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.__name__)
+def test_every_law_defines_the_interface_below_distribution(law):
+    # Distribution and _Discrete declare no stubs, so a missing method shows here
+    interface = [(dist.Distribution, name) for name in
+                 ("support", "cdf", "sf", "pdf_or_pmf", "quantile", "mean", "mode_set")]
+    if issubclass(law, dist._Discrete):
+        interface += [(dist._Discrete, "_bounds"), (dist._Discrete, "_ratios")]
+    for base, name in interface:
+        owner = next((k for k in law.__mro__ if name in vars(k)), base)
+        assert owner is not base and issubclass(owner, base), name
 
 
 # ---------------------------------------------------------------------------
@@ -840,7 +860,7 @@ def test_reads_past_the_core_swap_in_the_full_window(query, d, arg):
 def test_full_tables_swaps_the_full_window_into_the_cached_slot(d):
     # the second law's core leaves nothing out, so it is the full window
     _discrete_tables.cache_clear()
-    t = d._full_tables()
+    t = d._read(_Tables.full, None)
     assert t == _build_tables(d)
     assert _cached(d) is t
     assert _discrete_tables.cache_info().misses == 1

@@ -373,10 +373,9 @@ def test_inv_reg_gamma_keeps_a_newton_step_below_the_tolerance(df, p, ref):
 
 def test_inv_reg_gamma_edges():
     assert inv_reg_gamma_lower(2.5, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        inv_reg_gamma_lower(2.5, 1.0)
-    with pytest.raises(ValueError):
-        inv_reg_gamma_lower(2.5, -0.1)
+    for p in (1.0, -0.1, -5e-324, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^probability must lie in \[0, 1\), got {p!r}$"):
+            inv_reg_gamma_lower(2.5, p)
     with pytest.raises(ValueError):
         inv_reg_gamma_lower(0.0, 0.5)
 
