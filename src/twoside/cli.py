@@ -211,17 +211,6 @@ def _render_csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_json(command: str, inputs: dict, results) -> str:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": [],  # part of schema twoside/1; no command warns
-    }
-    return _json(envelope) + "\n"
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -261,23 +250,17 @@ def _cmd_pvalue(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, objec
     return inputs, results
 
 
-def _method_names(text: str | None, is_discrete: bool) -> list[str] | None:
-    if text is None:
-        return None
-    names = []
-    for method, w in parse_methods(text, is_discrete):
-        if w is not None:
-            raise UsageError("weighted:WL is supported by the pvalue command only")
-        names.append(method)
-    return names
-
-
 def _cmd_test(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, object]:
     from . import stattests
 
     kind = args.command[1]
     anchor = parse_anchor(args.anchor)
-    methods = _method_names(args.method, kind in ("binomial", "fisher"))
+    methods = None
+    if args.method is not None:
+        pairs = parse_methods(args.method, kind in ("binomial", "fisher"))
+        if any(w is not None for _, w in pairs):
+            raise UsageError("weighted:WL is supported by the pvalue command only")
+        methods = [method for method, _ in pairs]
     if kind == "variance":
         if args.data is not None:
             if args.s2 is not None or args.n is not None:
@@ -389,17 +372,18 @@ _TEST_ARGUMENTS = {"--anchor": _ANCHOR, "--method": dict(help=_METHOD_HELP)}
 _FORMAT = dict(default="json", choices=("json", "csv"), help="output format (default json)")
 _OUT = dict(help="write output to a file instead of stdout")
 
-# leaf command words -> (help, handler, {flag: add_argument keywords}); each leaf takes --out
-# first (_flags). A handler returns the echoed inputs and either the JSON results (a dict or a
+# leaf command words -> (help, handler, {flag: add_argument keywords}), every leaf's flags
+# starting with --out. A handler returns the echoed inputs and either the JSON results (a dict or a
 # result record) or finished CSV text, for the command named by the words joined with dots
 # (test.f).
-_COMMANDS = {
+_COMMANDS = {words: (help_text, handler, {"--out": _OUT, **flags})
+             for words, (help_text, handler, flags) in {
     ("pvalue",): ("two-sided p-values for one observation", _cmd_pvalue, {
         "--dist": dict(required=True, help=_DIST_HELP),
         "--x": dict(required=True, type=float, help="observed value"),
         "--anchor": _ANCHOR,
         "--method": dict(default="all", help=_METHOD_HELP),
-        "--no-truncate": dict(action="store_true",
+        "--no-truncate": dict(action="store_true", default=False,
                               help="report the doubled p-value without capping at 1"),
     }),
     ("test", "variance"): ("one-sample variance test", _cmd_test, {
@@ -457,12 +441,7 @@ _COMMANDS = {
             "--resolution": dict(default=512, type=int, help="grid resolution for continuous "
                                                              "axes, 4 to 100000 (default 512)"),
         }),
-}
-
-
-def _flags(words: tuple[str, ...]) -> dict[str, dict]:
-    """A leaf's flags, ``--out`` first, with their ``add_argument`` keywords."""
-    return {"--out": _OUT, **_COMMANDS[words][2]}
+}.items()}
 
 
 # a negative number, which is a value and not a flag: argparse's own test only
@@ -474,9 +453,10 @@ def _read(words: tuple[str, ...], tokens: list[str]) -> SimpleNamespace | None:
     """The namespace that the tree gives for a leaf's ``tokens``, or None unless
     they are that leaf's flags, each its own token, each value the next token, not
     flag-like, taken by the flag's ``type`` and in its ``choices``, and every
-    required flag given. A repeated flag keeps its last value, as in argparse. No
+    required flag given. A repeated flag keeps its last value, as in argparse. An
+    unset flag takes its table default (so a ``store_true`` flag states False); no
     table default is a string with a ``type``, so argparse converts none of them."""
-    flags = _flags(words)
+    flags = _COMMANDS[words][2]
     values = {}
     tokens = iter(tokens)
     for flag in tokens:
@@ -502,8 +482,7 @@ def _read(words: tuple[str, ...], tokens: list[str]) -> SimpleNamespace | None:
         if dest not in values:
             if keywords.get("required"):
                 return None
-            values[dest] = keywords.get("default",
-                                        False if keywords.get("action") == "store_true" else None)
+            values[dest] = keywords.get("default")
     return SimpleNamespace(command=words, **values)
 
 
@@ -528,14 +507,14 @@ def _tree() -> argparse.ArgumentParser:
     subcommands = {(): parser.add_subparsers(required=True, metavar="command")}
     groups = {"test": ("statistical tests", "kind"),  # help, metavar of the leaves
               "analyze": ("power, bias, and table/figure data", "what")}
-    for words, (help_text, _, _) in _COMMANDS.items():
+    for words, (help_text, _, flags) in _COMMANDS.items():
         group = words[:-1]
         if group not in subcommands:
             group_help, metavar = groups[words[0]]
             subcommands[group] = subcommands[()].add_parser(
                 words[0], help=group_help).add_subparsers(required=True, metavar=metavar)
         leaf = subcommands[group].add_parser(words[-1], help=help_text)
-        for flag, keywords in _flags(words).items():
+        for flag, keywords in flags.items():
             leaf.add_argument(flag, **keywords)
         leaf.set_defaults(command=words)
     return parser
@@ -560,9 +539,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         inputs, results = _COMMANDS[args.command][1](args)
-        text = (results if isinstance(results, str)
-                else _render_json(".".join(args.command), inputs, results))
-        _emit(text, args.out)
+        if not isinstance(results, str):
+            # "warnings" is part of schema twoside/1; no command warns
+            results = _json({"schema_version": SCHEMA_VERSION, "command": ".".join(args.command),
+                             "inputs": inputs, "results": results, "warnings": []}) + "\n"
+        _emit(results, args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,8 +126,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# relative tolerance for calling two masses tied when scanning for modes
-_MODE_TIE_TOL = 1e-9
+# two masses of a law within this relative tolerance are tied (modes, and
+# the min-likelihood cut in pvalue)
+_TIE_TOL = 1e-9
 
 # the most table points on either side of the mode; the tables and the walk
 # take about 180 bytes per point at their peak
@@ -647,18 +648,11 @@ def _sf_end(x: float, lo: int, hi: int) -> float | None:
     return 0.0 if x > hi else None
 
 
-class _Slot:
-    """A law's cached tables: its core window until a query reads past it."""
-
-    __slots__ = ("tables",)
-
-    def __init__(self, tables: _Tables) -> None:
-        self.tables = tables
-
-
 @lru_cache(maxsize=1)
-def _discrete_tables(d: "_Discrete") -> _Slot:
-    return _Slot(_build_tables(d, _FLOOR) or _build_tables(d))
+def _discrete_tables(d: "_Discrete") -> list[_Tables]:
+    """A law's cached tables, in a one-item list: its core window until a
+    query reads past it."""
+    return [_build_tables(d, _FLOOR) or _build_tables(d)]
 
 
 class _Discrete(Distribution):
@@ -673,18 +667,15 @@ class _Discrete(Distribution):
 
     is_discrete = True
 
-    def _tables(self) -> _Tables:
-        return _discrete_tables(self).tables
-
     def _read(self, query: Callable[[_Tables, Any], Any], arg: Any) -> Any:
         """``query(tables, arg)`` on the cached tables; where the core cannot
         answer it exactly, on the full window, which from then on replaces
         the core in the cache."""
         slot = _discrete_tables(self)
-        value = query(slot.tables, arg)
+        value = query(slot[0], arg)
         if value is None:
-            slot.tables = _build_tables(self)
-            value = query(slot.tables, arg)
+            slot[0] = _build_tables(self)
+            value = query(slot[0], arg)
         return value
 
     def support(self) -> Support:
@@ -715,9 +706,9 @@ class _Discrete(Distribution):
         return self._read(_Tables.mass_at_most, cut)
 
     def mode_set(self) -> list[float]:
-        t = self._tables()
+        t = _discrete_tables(self)[0]
         top = t.pmf[t.mode]
-        return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _MODE_TIE_TOL)]
+        return [float(t.first + i) for i, v in enumerate(t.pmf) if v >= top * (1.0 - _TIE_TOL)]
 
 
 class Binomial(_Discrete, Record):

@@ -33,7 +33,7 @@ import math
 from typing import Callable, Union
 
 from ._record import Record
-from .dist import Distribution, Uniform
+from .dist import _TIE_TOL, Distribution, Uniform
 from .roots import walk
 
 __all__ = [
@@ -72,9 +72,6 @@ MODE = "mode"
 MEDIAN = "median"
 
 TailAnchor = Union[float, str]
-
-# relative tolerance for treating two masses as tied in min-likelihood sums
-_TIE_TOL = 1e-9
 
 
 class Weights(Record):
@@ -176,6 +173,8 @@ def _anchored_tail(cdf: Callable[[float], float], sf: Callable[[float], float], 
 
     Returns 1 at the anchor; the caller caps the value at 1 where needed.
     """
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x == anchor_value:
         return 1.0
     if x < anchor_value:
@@ -237,6 +236,8 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
     if d.is_discrete:
         return _mass_no_likelier(d.pdf_or_pmf(x), d.mass_at_most)
 
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if isinstance(d, Uniform):
         return 1.0
     return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x)
@@ -245,7 +246,7 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
 def _mass_no_likelier(px: float, mass_at_most: Callable[[float], float]) -> float:
     """The discrete min-likelihood p-value of an outcome of mass ``px``:
     ``mass_at_most(cut)`` is the law's total mass at points of mass at most
-    cut, and ties count within the relative tolerance ``_TIE_TOL``."""
+    cut, and ties count within the relative tolerance ``dist._TIE_TOL``."""
     if px <= 0.0:
         return 0.0
     return min(1.0, mass_at_most(px * (1.0 + _TIE_TOL)))

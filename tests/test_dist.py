@@ -342,10 +342,17 @@ def test_noncentral_pmf_against_direct_tilting():
 # modes
 
 
-def test_two_mode_families():
+def test_two_mode_families(capsys):
+    from twoside import cli
+
     assert Binomial(4, 0.2).mode_set() == [0.0, 1.0]
     assert Binomial(9, 0.5).mode_set() == [4.0, 5.0]
     assert Hypergeometric(5, 5, 10).mode_set() == [2.0, 3.0]
+    # two masses that differ only by rounding are tied within dist._TIE_TOL
+    assert Binomial(4, 0.4).mode_set() == [1.0, 2.0]
+    assert Binomial(9, 0.3).mode_set() == [2.0, 3.0]
+    assert cli.main(["pvalue", "--dist", "binom:4,0.4", "--x", "1", "--anchor", "mode"]) == 3
+    assert "mode is not unique" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [0.1, 0.2, 0.5, 0.77])
@@ -459,7 +466,15 @@ def test_chi_square_small_df_density_limits():
     assert ChiSquare(2).pdf_or_pmf(0.0) == 0.5
     assert math.isinf(ChiSquare(1).pdf_or_pmf(0.0))
     assert ChiSquare(5).pdf_or_pmf(0.0) == 0.0
-    assert ChiSquare(5).pdf_or_pmf(-1.0) == 0.0
+
+
+@pytest.mark.parametrize("d", [ChiSquare(5), FRatio(5, 10), Uniform(0.0, 1.0),
+                               Triangular(1.0, 2.0), TruncatedNormal(0.5)], ids=str)
+def test_density_is_zero_outside_the_support(d):
+    sup = d.support()
+    for x in (sup.lo - 1.0, sup.hi + 1.0):
+        if math.isfinite(x):
+            assert d.pdf_or_pmf(x) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +532,7 @@ def test_hypergeometric_support_lower_bound():
 def test_outside_window_semantics():
     n = 20000
     d = Binomial(n, 0.5)
-    window = d._tables()
+    window = _discrete_tables(d)[0]
     assert window.first > 100 and window.first + len(window.pmf) - 1 < n - 100
     for k in [*range(0, 101), *range(n - 100, n + 1)]:
         assert d.pdf_or_pmf(k) == 0.0
@@ -821,7 +836,7 @@ def test_core_serves_the_full_windows_floats_at_edges(d):
 
 
 def _cached(d):
-    return _discrete_tables(d).tables
+    return _discrete_tables(d)[0]
 
 
 @pytest.mark.parametrize("query, d, arg", [

@@ -25,6 +25,7 @@ from twoside.dist import (
     Triangular,
     TruncatedNormal,
     Uniform,
+    _discrete_tables,
 )
 from twoside.pvalue import (
     METHODS,
@@ -232,7 +233,7 @@ def test_bisected_min_likelihood_equals_window_scan(d, data):
     x = data.draw(st.integers(int(d.support().lo), int(d.support().hi)))
     px = d.pdf_or_pmf(x)
     cut = px * (1.0 + 1e-9)
-    window = d._tables().pmf
+    window = _discrete_tables(d)[0].pmf
     scan = min(1.0, math.fsum(v for v in window if v <= cut)) if px > 0.0 else 0.0
     assert p_min_likelihood(d, x) == pytest.approx(scan, abs=1e-15)
 
@@ -242,6 +243,20 @@ def test_min_likelihood_exact_ties():
         lo, hi = int(d.support().lo), int(d.support().hi)
         for x in range(lo, hi + 1):
             assert p_min_likelihood(d, x) == p_min_likelihood(d, lo + hi - x)
+
+
+@pytest.mark.parametrize("d", [ChiSquare(5), FRatio(5, 10), Uniform(0.0, 1.0),
+                               Triangular(1.0, 2.0), TruncatedNormal(0.5)], ids=str)
+@pytest.mark.parametrize("compute", [
+    lambda d, x: p_doubled(d, x, d.mean()),
+    lambda d, x: p_weighted(d, x, d.mean(), Weights(0.3, 0.7)),
+    lambda d, x: p_conditional(d, x, d.mean()),
+    lambda d, x: p_min_likelihood(d, x),
+], ids=["doubled", "weighted", "conditional", "min_likelihood"])
+def test_nan_observation_is_rejected(d, compute):
+    # NaN fails every comparison, so a tail or the uniform shortcut would take it
+    with pytest.raises(ValueError, match="x must not be NaN"):
+        compute(d, math.nan)
 
 
 # 40-digit mpmath values over the exact rational masses. Masses taken
