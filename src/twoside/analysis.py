@@ -32,8 +32,6 @@ from .dist import (
     Hypergeometric,
     TruncatedNormal,
     _Tables,
-    _cdf_end,
-    _sf_end,
 )
 from .pvalue import (
     CONDITIONAL,
@@ -327,7 +325,7 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     window, fetched once, rather than point by point through the cache:
     the floats are those of ``pdf_or_pmf``, ``cdf``, ``sf``,
     :func:`p_min_likelihood` and :func:`p_conditional` at each point, by
-    the same clamps, tie rule and anchored-tail division.
+    the same tie rule and anchored-tail division.
     """
     d = Hypergeometric(row1, col1, total)
     lo, hi = d._bounds()
@@ -338,8 +336,10 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     w = tail_weights(d, a)
     t = d._read(_Tables.full, None)
     points = range(lo, hi + 1)
-    lower = [t.lower(k) if (end := _cdf_end(k, lo, hi)) is None else end for k in points]
-    upper = [t.upper(k) if (end := _sf_end(k, lo, hi)) is None else end for k in points]
+    # no row reads the end clamps of cdf/sf: at hi, min(low, up) takes up <= low, and
+    # _anchored_tail reads cdf only below the anchor and sf only above it (lo mirrors)
+    lower = [t.lower(k) for k in points]
+    upper = [t.upper(k) for k in points]
 
     def cdf(k: int) -> float:
         return lower[k - lo]

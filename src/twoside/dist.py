@@ -632,22 +632,6 @@ def _build_tables(d: "_Discrete", floor: float = 0.0) -> _Tables | None:
                    left_out, right_out)
 
 
-def _cdf_end(x: float, lo: int, hi: int) -> float | None:
-    """P(X <= x) where no table is read, for a law on lo..hi: 0 below lo and
-    1 from hi on; None in between."""
-    if x < lo:
-        return 0.0
-    return 1.0 if x >= hi else None
-
-
-def _sf_end(x: float, lo: int, hi: int) -> float | None:
-    """P(X >= x) where no table is read, for a law on lo..hi: 1 up to lo and
-    0 above hi; None in between."""
-    if x <= lo:
-        return 1.0
-    return 0.0 if x > hi else None
-
-
 @lru_cache(maxsize=1)
 def _discrete_tables(d: "_Discrete") -> list[_Tables]:
     """A law's cached tables, in a one-item list: its core window until a
@@ -689,13 +673,15 @@ class _Discrete(Distribution):
 
     def cdf(self, x: float) -> float:
         lo, hi = self._bounds()
-        end = _cdf_end(x, lo, hi)
-        return self._read(_Tables.lower, math.floor(x)) if end is None else end
+        if x < lo:
+            return 0.0
+        return 1.0 if x >= hi else self._read(_Tables.lower, math.floor(x))
 
     def sf(self, x: float) -> float:
         lo, hi = self._bounds()
-        end = _sf_end(x, lo, hi)
-        return self._read(_Tables.upper, math.ceil(x)) if end is None else end
+        if x <= lo:
+            return 1.0
+        return 0.0 if x > hi else self._read(_Tables.upper, math.ceil(x))
 
     def quantile(self, p: float) -> float:
         _check_prob_open(p)

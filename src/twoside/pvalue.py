@@ -130,9 +130,7 @@ def resolve_anchor(d: Distribution, anchor: TailAnchor) -> float:
             return modes[0]
         raise ValueError(f"unknown anchor {anchor!r}; expected 'mean', 'mode', 'median', or a number")
     value = float(anchor)
-    if math.isnan(value):
-        raise ValueError("anchor value must not be NaN")
-    if math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"anchor value must be finite, got {value!r}")
     sup = d.support()
     if not (sup.lo <= value <= sup.hi):
@@ -173,8 +171,8 @@ def _anchored_tail(cdf: Callable[[float], float], sf: Callable[[float], float], 
 
     Returns 1 at the anchor; the caller caps the value at 1 where needed.
     """
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if x == anchor_value:
         return 1.0
     if x < anchor_value:
@@ -202,6 +200,8 @@ def p_doubled(d: Distribution, x: float, anchor_value: float | None = None, *,
     exceeds 1, which is what the diagnostic figure series plot.
     """
     if d.is_discrete:
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
         raw = 2.0 * min(d.cdf(x), d.sf(x))
     else:
         if anchor_value is None:
@@ -230,14 +230,15 @@ def p_min_likelihood(d: Distribution, x: float) -> float:
     Discrete: the sum of every mass within a relative tolerance, fixed at
     1e-9, of being at most the observed mass, so exact ties land on the same
     side of the cut regardless of rounding. Continuous: the observed tail
-    plus the opposite tail beyond the equal-density point; a flat (uniform)
-    density gives 1 identically.
+    plus the opposite tail beyond the equal-density point, 0 off the support;
+    a flat (uniform) density gives 1 on its whole support.
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     if d.is_discrete:
         return _mass_no_likelier(d.pdf_or_pmf(x), d.mass_at_most)
-
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+    if not d.support().contains(x):
+        return 0.0
     if isinstance(d, Uniform):
         return 1.0
     return _tail_sum(d, d.pdf_or_pmf, d.mode_set()[0], x)
@@ -253,9 +254,8 @@ def _mass_no_likelier(px: float, mass_at_most: Callable[[float], float]) -> floa
 
 
 def _tail_sum(d: Distribution, level: Callable, peak: float, x: float) -> float:
-    """The tail beyond x plus the tail beyond its :func:`_partner`, capped at 1."""
-    if not d.support().contains(x):
-        return 0.0
+    """The tail beyond x plus the tail beyond its :func:`_partner`, capped at 1,
+    for x inside the support."""
     if x == peak:
         return 1.0
     partner = _partner(d, level, peak, x)

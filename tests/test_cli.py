@@ -268,6 +268,13 @@ def test_pvalue_uniform_min_likelihood_is_one(capsys):
     assert json.loads(out)["results"]["p_values"]["min_likelihood"] == 1.0
 
 
+def test_pvalue_uniform_min_likelihood_off_the_support_is_zero(capsys):
+    code, out, err = run(capsys, "pvalue", "--dist", "unif:0,1", "--x", "2",
+                         "--method", "min_likelihood")
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["p_values"]["min_likelihood"] == 0.0
+
+
 @pytest.mark.parametrize("x", ["6.99999999", "7.0000001"])
 def test_pvalue_min_likelihood_next_to_the_mode(capsys, x):
     # chi-square(9) has its mode at 7, where the density at x ties the

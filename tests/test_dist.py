@@ -552,6 +552,15 @@ def test_outside_window_semantics():
     assert d.sf(q + 1) <= 1 - p < d.sf(q)
 
 
+def test_support_ends_build_no_table():
+    # cdf and sf answer at and past the support ends before reading a table,
+    # so a law too wide to tabulate still answers there
+    d = Binomial(10**12, 0.5)
+    _discrete_tables.cache_clear()
+    assert (d.cdf(-1.0), d.sf(-1.0), d.cdf(1e12), d.sf(1e12 + 1)) == (0.0, 1.0, 1.0, 0.0)
+    assert _discrete_tables.cache_info().misses == 0
+
+
 def _exact_masses(d) -> list[Fraction]:
     lo, hi = int(d.support().lo), int(d.support().hi)
     if isinstance(d, Binomial):

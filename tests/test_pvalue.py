@@ -209,8 +209,10 @@ def test_conditional_discrete_golden():
 def test_min_likelihood_golden():
     assert p_min_likelihood(Binomial(10, 0.2), 5) == pytest.approx(0.033, abs=5e-4)
     assert p_min_likelihood(Hypergeometric(9, 5, 30), 0) == pytest.approx(0.286, abs=5e-4)
-    for x in (0.1, 0.25, 0.5, 0.9):
+    for x in (0.0, 0.1, 0.25, 0.5, 0.9, 1.0):
         assert p_min_likelihood(Uniform(0.0, 1.0), x) == 1.0
+    for x in (-1.0, 2.0):  # outside support, as for every other law
+        assert p_min_likelihood(Uniform(0.0, 1.0), x) == 0.0
     assert p_min_likelihood(Binomial(10, 0.2), 11) == 0.0  # outside support
 
 
@@ -245,18 +247,31 @@ def test_min_likelihood_exact_ties():
             assert p_min_likelihood(d, x) == p_min_likelihood(d, lo + hi - x)
 
 
-@pytest.mark.parametrize("d", [ChiSquare(5), FRatio(5, 10), Uniform(0.0, 1.0),
-                               Triangular(1.0, 2.0), TruncatedNormal(0.5)], ids=str)
-@pytest.mark.parametrize("compute", [
-    lambda d, x: p_doubled(d, x, d.mean()),
-    lambda d, x: p_weighted(d, x, d.mean(), Weights(0.3, 0.7)),
-    lambda d, x: p_conditional(d, x, d.mean()),
-    lambda d, x: p_min_likelihood(d, x),
-], ids=["doubled", "weighted", "conditional", "min_likelihood"])
-def test_nan_observation_is_rejected(d, compute):
-    # NaN fails every comparison, so a tail or the uniform shortcut would take it
-    with pytest.raises(ValueError, match="x must not be NaN"):
-        compute(d, math.nan)
+_BY_METHOD = {
+    "doubled": lambda d, x: p_doubled(d, x, d.mean()),
+    "weighted": lambda d, x: p_weighted(d, x, d.mean(), Weights(0.3, 0.7)),
+    "conditional": lambda d, x: p_conditional(d, x, d.mean()),
+    "conditional_modified": lambda d, x: p_conditional(d, x, d.mean(), modified=True),
+    "min_likelihood": lambda d, x: p_min_likelihood(d, x),
+}
+_NON_FINITE_CASES = [
+    *((method, d) for method in ("doubled", "weighted", "conditional", "min_likelihood")
+      for d in (ChiSquare(5), FRatio(5, 10), Uniform(0.0, 1.0), Triangular(1.0, 2.0),
+                TruncatedNormal(0.5))),
+    *((method, Binomial(10, 0.2))
+      for method in ("doubled", "conditional", "conditional_modified", "min_likelihood")),
+]
+
+
+@pytest.mark.parametrize("method, d", _NON_FINITE_CASES,
+                         ids=[f"{method}-{d}" for method, d in _NON_FINITE_CASES])
+def test_nan_observation_is_rejected(method, d):
+    # NaN fails every comparison, so a tail or the uniform shortcut would take
+    # it; an infinite x would reach an end clamp, a kernel or a root search
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as error:
+            _BY_METHOD[method](d, x)
+        assert str(error.value) == f"x must be finite, got {x!r}"
 
 
 # 40-digit mpmath values over the exact rational masses. Masses taken
@@ -678,8 +693,10 @@ def test_resolve_anchor_errors():
         resolve_anchor(Binomial(9, 0.5), "mode")
     with pytest.raises(ValueError, match="unknown anchor"):
         resolve_anchor(CHISQ5, "midpoint")
-    with pytest.raises(ValueError, match="NaN"):
-        resolve_anchor(CHISQ5, math.nan)
+    for value, text in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")):
+        with pytest.raises(ValueError) as error:
+            resolve_anchor(CHISQ5, value)
+        assert str(error.value) == f"anchor value must be finite, got {text}"
     with pytest.raises(ValueError, match="outside the support"):
         resolve_anchor(CHISQ5, -0.5)
     with pytest.raises(ValueError, match="outside the support"):
