@@ -336,25 +336,15 @@ def fisher_pvalue_table(row1: int, col1: int, total: int) -> list[dict]:
     w = tail_weights(d, a)
     t = d._read(_Tables.full, None)
     points = range(lo, hi + 1)
-    # no row reads the end clamps of cdf/sf: at hi, min(low, up) takes up <= low, and
-    # _anchored_tail reads cdf only below the anchor and sf only above it (lo mirrors)
-    lower = [t.lower(k) for k in points]
-    upper = [t.upper(k) for k in points]
-
-    def cdf(k: int) -> float:
-        return lower[k - lo]
-
-    def sf(k: int) -> float:
-        return upper[k - lo]
-
-    mass_at_most = t.mass_at_most
+    # no row reads the end clamps of cdf/sf: at hi, the one-sided min takes upper <= lower,
+    # and _anchored_tail reads lower only below the anchor and upper only above it (lo mirrors)
     # k compares with the float anchor exactly, as float(k) does
     return [{"n11": k,
              "prob": prob,
-             "p_one_sided": min(low, up),
-             "p_min_likelihood": _mass_no_likelier(prob, mass_at_most),
-             "p_conditional": min(1.0, _anchored_tail(cdf, sf, k, a, w))}
-            for k, prob, low, up in zip(points, map(t.mass, points), lower, upper)]
+             "p_one_sided": min(t.lower(k), t.upper(k)),
+             "p_min_likelihood": _mass_no_likelier(prob, t.mass_at_most),
+             "p_conditional": min(1.0, _anchored_tail(t.lower, t.upper, k, a, w))}
+            for k, prob in zip(points, map(t.mass, points))]
 
 
 def _fig1(resolution: int) -> tuple[list[str], list[tuple]]:

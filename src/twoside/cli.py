@@ -226,8 +226,6 @@ def _cmd_pvalue(args: SimpleNamespace | argparse.Namespace) -> tuple[dict, objec
     d = parse_dist(args.dist)
     anchor = parse_anchor(args.anchor)
     methods = parse_methods(args.method, d.is_discrete)
-    if not math.isfinite(args.x):
-        raise ValueError(f"x must be finite, got {args.x!r}")
     truncate = not args.no_truncate
     anchor_value = pvalue.resolve_anchor(d, anchor)
     weights = pvalue.tail_weights(d, anchor_value)

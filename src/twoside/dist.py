@@ -36,8 +36,9 @@ step, ``math.fsum`` of the weights, every running sum clamped with
 ``min(v, 1.0)``), cheaply:
 
 - ``_ratios(ks)`` yields the ratios lazily, so a walk computes only those
-  it reads, each from the same expression. ``w * r if r < 1.0 else w``
-  equals ``w * min(1.0, r)`` because ``w * 1.0 == w``.
+  it reads, each from the same expression. The ratios do not rise with k
+  (below), so from the mode, the first k whose ratio is at most 1, the
+  unclamped steps ``w * r`` right and ``w / r`` left never grow w.
 - ``_exact_sum`` returns ``math.fsum`` of nonnegative floats. The values
   below ``cut``, a power of two near 2**-100 times the largest, sum to
   less than ``bound = count * cut``, which is exact. fsum rounds
@@ -585,16 +586,16 @@ def _build_tables(d: "_Discrete", floor: float = 0.0) -> _Tables | None:
                 and _MAX_SIDE * math.log(next(d._ratios((mode - _MAX_SIDE,)))) < 745.0)):
         raise ValueError(f"{d!r} has mass on more than {_MAX_SIDE} points on one side of "
                          f"its mode; the tables hold at most {_MAX_SIDE}")
-    # weights relative to 1 at the mode; clamping the ratios to 1 keeps the
-    # array unimodal under rounding. A walk stops where the weight
-    # underflows to 0 or stops shrinking (subnormals round back to
-    # themselves); only the first step may tie with the mode.
+    # weights relative to 1 at the mode; the ratios are at most 1 from the
+    # mode on and above 1 before it, so no step grows a weight. A walk stops
+    # where the weight underflows to 0 or stops shrinking (subnormals round
+    # back to themselves); only the first step may tie with the mode.
     right: list[float] = []
     right_out = 0.0
     w = 1.0
     ratios = d._ratios(range(mode, hi))
     for r in ratios:
-        nxt = w * r if r < 1.0 else w
+        nxt = w * r
         if nxt == 0.0 or (nxt == w and right):
             break
         if nxt < floor:
@@ -607,7 +608,7 @@ def _build_tables(d: "_Discrete", floor: float = 0.0) -> _Tables | None:
     w = 1.0
     ratios = d._ratios(range(mode - 1, lo - 1, -1))
     for r in ratios:
-        nxt = w / r if r > 1.0 else w
+        nxt = w / r
         if nxt == 0.0 or (nxt == w and left):
             break
         if nxt < floor:

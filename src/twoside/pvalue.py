@@ -273,6 +273,8 @@ def conjugate_point(d: Distribution, x: float) -> float | None:
     """
     if d.is_discrete:
         raise ValueError("conjugate points are defined for continuous densities")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
     mode = d.mode_set()[0]
     if x == mode:
         raise ValueError("the conjugate point is degenerate at the mode")

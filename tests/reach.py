@@ -12,6 +12,11 @@ It exits nonzero when the suite fails or when a statement other than the
 ``_TINY`` clamps of the Lentz continued fractions in ``specfun`` never ran;
 those clamps want arguments at the edge of the float range.
 
+It sees statements, not branches: a conditional expression, a short-circuit
+``and``/``or`` or a comprehension's filter counts as run once its line runs,
+so an arm of one that never fires (``w * r if r < 1.0 else w`` with r always
+below 1) is not listed.
+
 A test that runs the package in a subprocess (the import probes of
 ``tests/test_cli.py`` and ``tests/test_bench_tracer.py``) is not traced, so
 what only such a test reaches is listed as never run. Besides pytest, which

@@ -792,6 +792,16 @@ def test_fisher_pvalue_table_rows_are_the_per_point_values(margins):
                        "p_conditional": p_conditional(d, x, a)}
 
 
+@pytest.mark.parametrize("row1, col1, total", [
+    (9, 5, 30), (9, 5, 40), (50, 700, 800), (300, 20, 100000), (0, 5, 10), (5, 10, 10),
+    (1, 3, 4), (40, 60, 200), (17, 4, 21), (123, 456, 1000),
+], ids=str)
+def test_fisher_pvalue_table_is_the_same_for_transposed_margins(row1, col1, total):
+    # the law is symmetric in its margins, and so is every float it is built from
+    assert repr(fisher_pvalue_table(row1, col1, total)) == repr(
+        fisher_pvalue_table(col1, row1, total))
+
+
 # ---------------------------------------------------------------------------
 # figure data
 

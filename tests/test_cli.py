@@ -916,12 +916,40 @@ def test_anchor_on_the_support_boundary_exits_three(capsys, argv, anchor):
 
 
 @pytest.mark.parametrize("x", ["nan", "inf", "1e400"])
-@pytest.mark.parametrize("law", ["unif:0,1", "tri:1,2", "chisq:5", "binom:10,0.2"])
+@pytest.mark.parametrize("law", ["unif:0,1", "tri:1,2", "chisq:5", "f:5,10", "truncnorm:0.5",
+                                 "binom:10,0.2", "hyper:9,5,30", "nchyper:9,5,30,2"])
 def test_non_finite_x_exits_three(capsys, law, x):
     code, out, err = run(capsys, "pvalue", "--dist", law, "--x", x)
     assert code == 3
     assert out == ""
     assert err == f"error: x must be finite, got {float(x)!r}\n"
+
+
+@pytest.mark.parametrize("x", ["nan", "-inf"])
+@pytest.mark.parametrize("law, method", [
+    *(("chisq:5", m) for m in ("doubled", "weighted:0.3", "conditional", "min_likelihood")),
+    *(("binom:10,0.2", m)
+      for m in ("doubled", "conditional", "conditional_modified", "min_likelihood")),
+])
+def test_non_finite_x_exits_three_under_each_method(capsys, law, method, x):
+    # the library method raises; the CLI has no check of its own
+    code, out, err = run(capsys, "pvalue", "--dist", law, f"--x={x}", "--method", method)
+    assert (code, out, err) == (3, "", f"error: x must be finite, got {float(x)!r}\n")
+
+
+@pytest.mark.parametrize("row1, col1, total, x", [
+    (9, 5, 30, 4), (9, 5, 40, 0), (50, 700, 800, 50), (300, 20, 100000, 1), (1, 3, 4, 1),
+    (17, 4, 21, 3),
+])
+def test_pvalue_is_the_same_for_transposed_margins(capsys, row1, col1, total, x):
+    def output(r, c):
+        code, out, err = run(capsys, "pvalue", "--dist", f"hyper:{r},{c},{total}", "--x", str(x))
+        assert (code, err) == (0, "")
+        return out
+
+    # every byte but the echoed --dist text
+    assert output(row1, col1).replace(f'"hyper:{row1},{col1},{total}"',
+                                      f'"hyper:{col1},{row1},{total}"') == output(col1, row1)
 
 
 @pytest.mark.parametrize("law, message", [

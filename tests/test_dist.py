@@ -791,6 +791,34 @@ def test_noncentral_mean_is_the_fsum_of_the_table():
         assert d.mean() == math.fsum((t.first + i) * v for i, v in enumerate(t.pmf))
 
 
+_WALKED_LAWS = [
+    Binomial(20, 0.2), Binomial(1000, 0.5), Binomial(300, 0.01),
+    Binomial(10, 1e-6), Binomial(10, 1 - 1e-6),
+    Binomial(10**18, 1e-15),       # n - k past 2**53: the ints round to floats
+    Binomial(4, 0.4), Binomial(9, 0.3),   # two tied modes; the float ratio is 1 + 2**-52
+    Binomial(3, 0.5),              # two tied modes; the ratio at the mode is exactly 1
+    Hypergeometric(9, 5, 30), Hypergeometric(2000, 2000, 6000), Hypergeometric(50, 700, 800),
+    Hypergeometric(300, 20, 100000), Hypergeometric(0, 5, 10), Hypergeometric(6, 6, 12),
+    NoncentralHypergeometric(9, 5, 30, 3.0), NoncentralHypergeometric(200, 300, 1000, 0.25),
+    NoncentralHypergeometric(50, 700, 800, 40.0), NoncentralHypergeometric(30, 40, 100, 1e-6),
+]
+
+
+@pytest.mark.parametrize("d", _WALKED_LAWS, ids=str)
+def test_walked_ratios_fall_and_cross_one_at_the_mode(d):
+    # _build_tables steps w * r right of the mode and w / r left of it with no
+    # clamp to 1; that needs every ratio it reads, the stopping step's too,
+    # to fall with k, to be at most 1 from the mode on and above 1 before it
+    lo, hi = d._bounds()
+    t = _build_tables(d)
+    mode, last = t.first + t.mode, t.first + len(t.pmf) - 1
+    ks = range(max(lo, t.first - 1), min(hi, last + 1))
+    ratios = list(d._ratios(ks))
+    assert all(a >= b for a, b in zip(ratios, ratios[1:]))
+    assert all(r > 1.0 for k, r in zip(ks, ratios) if k < mode)
+    assert all(r <= 1.0 for k, r in zip(ks, ratios) if k >= mode)
+
+
 # ---------------------------------------------------------------------------
 # the core window: every float it serves is the full window's
 

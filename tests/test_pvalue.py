@@ -554,6 +554,16 @@ def test_conjugate_point_triangular_closed_form():
     assert conjugate_point(tri, -0.25) == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [CHISQ5, FRatio(5, 10), Triangular(1.0, 2.0)], ids=str)
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=repr)
+def test_conjugate_point_rejects_a_non_finite_x(d, x):
+    # without the check an infinite x reaches the root search, which finds no
+    # sign change, and NaN fails the support test
+    with pytest.raises(ValueError) as error:
+        conjugate_point(d, x)
+    assert str(error.value) == f"x must be finite, got {x!r}"
+
+
 def test_conjugate_point_truncated_normal():
     d = TruncatedNormal(0.5)
     for x in (-0.4, -0.1, 0.2, 0.45):
