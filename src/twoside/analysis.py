@@ -217,7 +217,7 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
         raise ValueError("the minimum-likelihood region is defined for continuous densities")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    sup = d.support()
+    sup, peak = d.support(), d.mode_set()[0]  # a flat density raises: no mode
     f_lo = d.pdf_or_pmf(sup.lo)
     if f_lo > 0.0:  # a density that is 0 there stays two-sided
         upper = walk(lambda t: d.sf(t) - alpha, d.median(), sup.lo, sup.hi)
@@ -225,7 +225,7 @@ def minlik_region(d: Distribution, alpha: float) -> tuple[float, float]:
             raise _out_of_range(d, alpha)
         if f_lo >= d.pdf_or_pmf(upper):
             return sup.lo, upper
-    return _equal_level_region(d, alpha, d.pdf_or_pmf, d.mode_set()[0])
+    return _equal_level_region(d, alpha, d.pdf_or_pmf, peak)
 
 
 def _region_for_method(d: Distribution, method: str, alpha: float,

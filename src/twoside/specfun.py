@@ -11,15 +11,15 @@ Stirling form to avoid cancellation. Inverses use Newton iteration
 safeguarded by a maintained bracket, falling back to bisection whenever a
 Newton step would leave it, and returning once a step is within tolerance.
 The normal quantile is ``statistics.NormalDist().inv_cdf`` (Wichura, AS 241);
-``statistics`` is imported by the first quantile asked for, not with this module.
+``statistics`` is imported at the call, not with this module.
 
 Everything here is a pure function of its arguments and safe to call
-concurrently, so the incomplete gamma/beta kernels ``reg_gamma_lower``,
-``reg_gamma_upper``, ``reg_beta``, ``inv_reg_gamma_lower`` and ``inv_reg_beta``
-are memoized per process (a ``functools.lru_cache`` of ``_KERNEL_CACHE_SIZE``
-entries each, keyed by value and type; errors are not cached; ``cache_info()``
-counts hits and misses). A one-shot ``twoside`` call reuses only repeats
-within its command, a long-lived process also those of earlier commands.
+concurrently, so ``_gamma_tails`` (P and Q from one expansion, read by
+``reg_gamma_lower`` and ``reg_gamma_upper``), ``reg_beta`` and
+``inv_reg_gamma_lower`` are memoized per process: a ``functools.lru_cache`` of
+``_KERNEL_CACHE_SIZE`` entries each, keyed by value and type, errors not cached.
+``inv_reg_beta`` is not; a repeat reruns Newton on ``reg_beta``'s memo. A
+one-shot ``twoside`` call reuses only repeats within its command.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _TWO_PI_DIGITS = "6.2831853071795864769252867665590057683943"
 _TINY = 1e-300
-_STANDARD_NORMAL = None  # statistics.NormalDist(), made by the first norm_quantile call
 
 # Convergence targets of the iterative kernels: a relative tolerance on the
 # converged value (or on the argument, for the inverses), far tighter than
@@ -73,12 +72,6 @@ def log_choose(n: int, k: int) -> float:
 def _check_gamma_shape(a: float) -> None:
     if not math.isfinite(a) or a <= 0.0:
         raise ValueError(f"shape parameter must be finite and > 0, got {a!r}")
-
-
-def _check_gamma_args(a: float, x: float) -> None:
-    _check_gamma_shape(a)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
 
 
 def _stirling_error(a: float) -> float:
@@ -192,25 +185,28 @@ def _gamma_continued_fraction(a: float, x: float) -> float:
 
 
 @_memoized
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    # (P(a, x), Q(a, x)) from the one expansion that converges at x
+    _check_gamma_shape(a)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"argument must be finite and >= 0, got {x!r}")
+    if x == 0.0:
+        return 0.0, 1.0
+    if x < a + 1.0:
+        s = _gamma_series(a, x)
+        return s, 1.0 - s
+    q = _gamma_continued_fraction(a, x)
+    return 1.0 - q, q
+
+
 def reg_gamma_lower(a: float, x: float) -> float:
     """Regularized lower incomplete gamma function P(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _gamma_series(a, x)
-    return 1.0 - _gamma_continued_fraction(a, x)
+    return _gamma_tails(a, x)[0]
 
 
-@_memoized
 def reg_gamma_upper(a: float, x: float) -> float:
     """Regularized upper incomplete gamma function Q(a, x) = 1 - P(a, x)."""
-    _check_gamma_args(a, x)
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_continued_fraction(a, x)
+    return _gamma_tails(a, x)[1]
 
 
 def _log_beta(a: float, b: float) -> float:
@@ -256,7 +252,8 @@ def _beta_continued_fraction(x: float, a: float, b: float) -> float:
         delta = d * c
         h *= delta
         err = abs(delta - 1.0)
-        if _lentz_converged(err, prev_err):
+        # b just off the integer m puts this delta, not the next, near 1: err * r underrates
+        if not 0.0 < abs(b - m) < 0.5 and _lentz_converged(err, prev_err):
             return h
         prev_err = err
     raise ArithmeticError(f"regularized beta continued fraction did not converge in "
@@ -343,7 +340,6 @@ def inv_reg_gamma_lower(a: float, p: float) -> float:
                               x, lo, hi)
 
 
-@_memoized
 def inv_reg_beta(p: float, a: float, b: float) -> float:
     """Inverse of ``reg_beta`` in x: returns x in [0, 1] with I_x(a, b) = p."""
     _check_beta_shapes(a, b)
@@ -398,11 +394,8 @@ def norm_pdf(x: float) -> float:
 
 def norm_quantile(p: float) -> float:
     """Inverse of ``norm_cdf`` on (0, 1)."""
-    global _STANDARD_NORMAL
     if not (0.0 < p < 1.0):
         raise ValueError(f"probability must lie in (0, 1), got {p!r}")
-    if _STANDARD_NORMAL is None:
-        from statistics import NormalDist
+    from statistics import NormalDist
 
-        _STANDARD_NORMAL = NormalDist()
-    return _STANDARD_NORMAL.inv_cdf(p)
+    return NormalDist().inv_cdf(p)

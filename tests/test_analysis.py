@@ -44,7 +44,7 @@ from twoside.dist import (
     Uniform,
     _discrete_tables,
 )
-from twoside.pvalue import p_conditional, p_min_likelihood
+from twoside.pvalue import p_conditional, p_min_likelihood, resolve_anchor
 
 CHISQ5 = ChiSquare(5)
 ALPHA = 0.05
@@ -513,6 +513,20 @@ def test_minlik_region_validation():
         minlik_region(Binomial(10, 0.2), ALPHA)
     with pytest.raises(ValueError):
         minlik_region(CHISQ5, 1.5)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1e-6])
+def test_minlik_region_of_a_flat_density_is_refused_as_the_mode_anchor_is(alpha):
+    # p_min_likelihood is 1 on the whole support of a uniform law, so no
+    # region (0, 1 - alpha) can match it; the region is refused instead
+    d = Uniform(0.0, 1.0)
+    assert p_min_likelihood(d, 0.99) == 1.0
+    with pytest.raises(ValueError) as anchor:
+        resolve_anchor(d, "mode")
+    with pytest.raises(ValueError) as region:
+        minlik_region(d, alpha)
+    assert str(region.value) == str(anchor.value) == (
+        "the uniform density is flat, so its mode is not unique")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twoside import specfun
 from twoside.analysis import umpu_weights
@@ -298,11 +298,21 @@ def test_reg_beta_domain(args):
     a=st.floats(min_value=1.0, max_value=40.0),
     b=st.floats(min_value=1.0, max_value=40.0),
 )
+# b just above an integer: the fraction's even factor nears 1 at that step
+@example(x=0.5, a=6.0625, b=6.0625)
 def test_reg_beta_complement_identity(x, a, b):
     # Shapes >= 1 keep the density bounded, so the half-ulp rounding of
     # 1.0 - x cannot be amplified; sub-unit shapes have endpoint-singular
     # densities and are covered at interior points below.
     assert reg_beta(x, a, b) + reg_beta(1.0 - x, b, a) == pytest.approx(1.0, abs=1e-12)
+
+
+# equal shapes just off an integer, where the fraction once stopped a step
+# early: up to 1.1e-11 off 1/2 at 4.984375 and 5.015625
+@pytest.mark.parametrize("a", [4.984375, 4.99609375, 5.00390625, 5.015625, 5.89453125,
+                               5.9453125, 6.05078125, 6.0625, 6.0859375])
+def test_reg_beta_is_one_half_at_the_centre_of_equal_shapes(a):
+    assert reg_beta(0.5, a, a) == pytest.approx(0.5, abs=5e-13)
 
 
 @pytest.mark.parametrize("ab", [(0.25, 1.0), (0.6, 0.3), (0.9, 2.0), (0.5, 0.5)])
@@ -497,7 +507,13 @@ def test_norm_cdf_rounds_to_zero_below_half_the_least_subnormal(x):
 # ---------------------------------------------------------------------------
 # per-process memo of the incomplete gamma/beta kernels
 
-MEMOIZED = (reg_gamma_lower, reg_gamma_upper, reg_beta, inv_reg_gamma_lower, inv_reg_beta)
+# every memo the module holds, so one added or dropped cannot go unpinned
+MEMOIZED = tuple(v for _, v in sorted(vars(specfun).items())
+                 if callable(getattr(v, "cache_info", None)))
+
+
+def test_the_memos_are_the_gamma_tails_the_beta_and_the_gamma_inverse():
+    assert [k.__name__ for k in MEMOIZED] == ["_gamma_tails", "inv_reg_gamma_lower", "reg_beta"]
 
 
 def _memo_grid(seed: int = 2008) -> dict:
@@ -525,11 +541,9 @@ def _memo_grid(seed: int = 2008) -> dict:
             y = min(1.0 - 1e-6, max(1e-6, a / (a + b) + rng.gauss(0.0, 3.0) * sd))
             p = rng.choice((1e-10, rng.uniform(0.001, 0.999)))
             for s, t in ((float(a), float(b)), (a, b)):
-                add("reg_gamma_lower", s, x)
-                add("reg_gamma_upper", s, x)
+                add("_gamma_tails", s, x)
                 add("inv_reg_gamma_lower", s, p)
                 add("reg_beta", y, s, t)
-                add("inv_reg_beta", p, s, t)
     return {name: list(points.values()) for name, points in grid.items()}
 
 
@@ -537,7 +551,7 @@ MEMO_GRID = _memo_grid()
 
 
 def test_memo_grid_covers_every_regime():
-    gamma = MEMO_GRID["reg_gamma_lower"]
+    gamma = MEMO_GRID["_gamma_tails"]
     beta = MEMO_GRID["reg_beta"]
     assert any(x < a + 1.0 for a, x in gamma) and any(x >= a + 1.0 for a, x in gamma)
     assert any(x < (a + 1.0) / (a + b + 2.0) for x, a, b in beta)
@@ -550,22 +564,46 @@ def test_memo_grid_covers_every_regime():
 
 
 def _bits(values) -> list[str]:
-    return [v.hex() for v in values]
+    # a tuple of tails reads as the bits of each tail
+    return [" ".join(t.hex() for t in v) if isinstance(v, tuple) else v.hex() for v in values]
 
 
-@pytest.mark.parametrize("kernel", MEMOIZED, ids=lambda k: k.__name__)
+# the public gamma tails hold no memo of their own: each reads its entry of _gamma_tails
+TAIL_OF = {reg_gamma_lower: 0, reg_gamma_upper: 1}
+
+
+@pytest.mark.parametrize("kernel", MEMOIZED + tuple(TAIL_OF), ids=lambda k: k.__name__)
 def test_memo_returns_the_bits_of_the_kernel(kernel):
-    grid = MEMO_GRID[kernel.__name__]
-    expected = _bits(kernel.__wrapped__(*args) for args in grid)
+    memo = specfun._gamma_tails if kernel in TAIL_OF else kernel
+    grid = MEMO_GRID[memo.__name__]
+    if kernel in TAIL_OF:
+        expected = _bits(memo.__wrapped__(*args)[TAIL_OF[kernel]] for args in grid)
+    else:
+        expected = _bits(memo.__wrapped__(*args) for args in grid)
     for order in (grid, grid[::-1]):
-        kernel.cache_clear()
+        memo.cache_clear()
         want = expected if order is grid else expected[::-1]
         assert _bits(kernel(*args) for args in order) == want  # cold
         # typed: an int shape is its own entry, never the float shape's bits
-        assert kernel.cache_info().misses == len(grid)
+        assert memo.cache_info().misses == len(grid)
         assert _bits(kernel(*args) for args in order) == want  # warm
         assert _bits(kernel(*args) for args in order[::-1]) == want[::-1]
-        assert kernel.cache_info().hits == 2 * len(grid)
+        assert memo.cache_info().hits == 2 * len(grid)
+
+
+@pytest.mark.parametrize("a, x, lower, upper", [
+    (5.0, 3.0, "0x1.7a5743991dc51p-3", "0x1.a16a2f19b88ecp-1"),  # series
+    (5.0, 8.0, "0x1.ccfcfb649283fp-1", "0x1.981824db6be08p-4"),  # continued fraction
+    (1000, 1010.5, "0x1.4467d9898cc5dp-1", "0x1.77304cece6746p-2"),  # Stirling prefactor
+    (2.5, 0.0, "0x0.0p+0", "0x1.0000000000000p+0"),
+])
+def test_both_gamma_tails_at_one_point_run_one_expansion(a, x, lower, upper):
+    memo = specfun._gamma_tails
+    memo.cache_clear()
+    assert reg_gamma_lower(a, x).hex() == lower
+    assert reg_gamma_upper(a, x).hex() == upper
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+    assert _bits([memo.__wrapped__(a, x)]) == [f"{lower} {upper}"]
 
 
 def test_each_memo_is_bounded_by_the_constant():
@@ -574,23 +612,26 @@ def test_each_memo_is_bounded_by_the_constant():
         assert kernel.cache_parameters()["typed"] is True
 
 
-@pytest.mark.parametrize("kernel, args, error", [
-    (reg_gamma_lower, (-1.0, 1.0), ValueError),
-    (reg_gamma_upper, (2.0, math.inf), ValueError),
-    (reg_beta, (0.5, 500000.0, 500000.0), ArithmeticError),
-    (inv_reg_gamma_lower, (3.0, 1.0), ValueError),
-    (inv_reg_beta, (0.5, 2.0, 0.0), ValueError),
-], ids=["gamma-lower-shape", "gamma-upper-argument", "beta-fraction", "inverse-gamma-p",
-        "inverse-beta-shape"])
-def test_a_raising_call_is_not_memoized(kernel, args, error):
-    size = kernel.cache_info().currsize
+@pytest.mark.parametrize("kernel, memo, args, error", [
+    (reg_gamma_lower, specfun._gamma_tails, (-1.0, 1.0), ValueError),
+    (reg_gamma_upper, specfun._gamma_tails, (2.0, math.inf), ValueError),
+    (reg_beta, reg_beta, (0.5, 500000.0, 500000.0), ArithmeticError),
+    (inv_reg_gamma_lower, inv_reg_gamma_lower, (3.0, 1.0), ValueError),
+], ids=["gamma-lower-shape", "gamma-upper-argument", "beta-fraction", "inverse-gamma-p"])
+def test_a_raising_call_is_not_memoized(kernel, memo, args, error):
+    size = memo.cache_info().currsize
     messages = []
     for _ in range(2):
         with pytest.raises(error) as raised:
             kernel(*args)
         messages.append(str(raised.value))
     assert messages[0] == messages[1]
-    assert kernel.cache_info().currsize == size
+    assert memo.cache_info().currsize == size
+
+
+def test_inverse_beta_rejects_a_zero_shape():
+    with pytest.raises(ValueError, match="shape parameters must be finite and > 0"):
+        inv_reg_beta(0.5, 2.0, 0.0)
 
 
 def test_non_convergence_names_the_kernel_arguments_and_cap(monkeypatch):
